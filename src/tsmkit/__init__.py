@@ -2,7 +2,8 @@
 
 from .model import ModelConfig, build_model
 from .shift import ShiftConfig, temporal_shift, temporal_shift_backward
-from .train import PredictionSet, TrainConfig
+from .ensemble import PredictionSet
+from .train import TrainConfig
 
 __all__ = [
     "ModelConfig",

@@ -14,11 +14,11 @@ import numpy as np
 from . import data as datamod
 from . import ensemble as ensmod
 from . import gradcheck
+from .ensemble import PredictionSet
 from .model import ModelConfig
 from .shift import ShiftConfig, temporal_shift
-from .train import (PredictionSet, TrainConfig, load_checkpoint,
-                    predict_model, save_checkpoint, train_phase1,
-                    train_phase2)
+from .train import (TrainConfig, load_checkpoint, predict_model,
+                    save_checkpoint, train_phase1, train_phase2)
 
 
 def _write_config(path, args, command):

@@ -7,7 +7,29 @@ from fractions import Fraction
 
 import numpy as np
 
-from .train import PredictionSet
+
+@dataclass
+class PredictionSet:
+    ids: list
+    probs: np.ndarray  # [num_videos, num_classes]
+
+    def save(self, path):
+        with open(path, "w") as fh:
+            for vid, row in zip(self.ids, self.probs):
+                fh.write(json.dumps(
+                    {"id": vid, "probs": [float(p) for p in row]}) + "\n")
+
+    @classmethod
+    def load(cls, path):
+        ids, rows = [], []
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rec = json.loads(line)
+                    ids.append(rec["id"])
+                    rows.append(rec["probs"])
+        return cls(ids, np.asarray(rows, dtype=np.float64))
 
 
 @dataclass

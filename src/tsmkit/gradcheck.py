@@ -35,21 +35,30 @@ def _proj(rng, shape):
     return rng.normal(size=shape)
 
 
-def check_conv2d(rng):
-    x = rng.normal(size=(2, 3, 6, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=4)
-    p = _proj(rng, ops.conv2d(x, w, b, padding=1).shape)
-    gx, gw, gb = ops.conv2d_backward(x, w, p, padding=1)
+def _check_conv(rng, x_shape, w_shape, **conv_args):
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    b = rng.normal(size=w_shape[0])
+    p = _proj(rng, ops.conv2d(x, w, b, **conv_args).shape)
+    gx, gw, gb = ops.conv2d_backward(x, w, p, **conv_args)
     errs = [
         max_rel_error(gx, numerical_gradient(
-            lambda v: float((ops.conv2d(v, w, b, padding=1) * p).sum()), x)),
+            lambda v: float((ops.conv2d(v, w, b, **conv_args) * p).sum()), x)),
         max_rel_error(gw, numerical_gradient(
-            lambda v: float((ops.conv2d(x, v, b, padding=1) * p).sum()), w)),
+            lambda v: float((ops.conv2d(x, v, b, **conv_args) * p).sum()), w)),
         max_rel_error(gb, numerical_gradient(
-            lambda v: float((ops.conv2d(x, w, v, padding=1) * p).sum()), b)),
+            lambda v: float((ops.conv2d(x, w, v, **conv_args) * p).sum()), b)),
     ]
     return max(errs)
+
+
+def check_conv2d(rng):
+    return _check_conv(rng, (2, 3, 6, 6), (4, 3, 3, 3), padding=1)
+
+
+def check_conv2d_grouped_strided(rng):
+    return _check_conv(rng, (2, 4, 7, 7), (4, 2, 3, 3), stride=2, padding=1,
+                       groups=2)
 
 
 def check_relu(rng):
@@ -138,6 +147,8 @@ CHECKS = {
     "dropout": check_dropout,
     "affine_norm": check_affine_norm,
     "temporal_shift": check_temporal_shift,
+    # last, so the checks above keep their seeds
+    "conv2d_grouped_strided": check_conv2d_grouped_strided,
 }
 
 

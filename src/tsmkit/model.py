@@ -54,13 +54,6 @@ class ModelConfig:
         }
 
 
-@dataclass
-class VideoBatch:
-    frames: np.ndarray  # [N*T, C, H, W]
-    labels: np.ndarray  # [N]
-    ids: list
-
-
 def _he_init(rng, shape, fan_in, dtype):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 

@@ -20,28 +20,24 @@ def _as_float(x):
 # convolution
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """Patches as [C*kh*kw, N*H'*W'], filled kernel-position-major so the
-    accumulation order is fixed."""
+def _im2col(x, kh, kw, stride, padding, groups):
+    """Patches of x as one [G, C/G*kh*kw, N*H'*W'] array: rows run over
+    (channel, ky, kx) and columns over (n, y', x')."""
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = x[:, :, i:i + stride * oh:stride,
-                              j:j + stride * ow:stride].transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [N, C, H', W', kh, kw]
+    n, _, oh, ow = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(groups, -1, n * oh * ow)
 
 
 def conv2d(x, weight, bias, stride=1, padding=0, groups=1, return_cols=False):
     """Cross-correlation of x [N,C_in,H,W] with weight [C_out,C_in/groups,kH,kW].
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
-    With return_cols the per-group im2col buffers are returned alongside the
-    output for reuse in conv2d_backward.
+    With return_cols the im2col buffer [groups, C_in/groups*kH*kW, N*H'*W']
+    is returned alongside the output for reuse in conv2d_backward.
     """
     x = _as_float(x)
     weight = _as_float(weight)
@@ -62,19 +58,18 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1, return_cols=False):
     cog = cout // groups
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    out = np.empty((n, cout, oh, ow), dtype=np.result_type(x, weight))
-    cols_list = []
-    for g in range(groups):
-        cols, oh, ow = _im2col(x[:, g * cin_g:(g + 1) * cin_g],
-                               kh, kw, stride, padding)
-        cols_list.append(cols)
-        kmat = weight[g * cog:(g + 1) * cog].reshape(cog, -1)
-        res = (kmat @ cols).reshape(cog, n, oh, ow)  # [cog, N*H'*W']
-        out[:, g * cog:(g + 1) * cog] = res.transpose(1, 0, 2, 3)
+    cols = _im2col(x, kh, kw, stride, padding, groups)
+    res = np.matmul(weight.reshape(groups, cog, -1), cols)  # [G, cog, N*H'*W']
     if bias is not None:
-        out = out + np.asarray(bias)[None, :, None, None]
+        bias = np.asarray(bias)[None, :, None, None]
+    dtype = res.dtype if bias is None else np.result_type(res, bias)
+    out = np.empty((n, cout, oh, ow), dtype=dtype)
+    out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)[...] = (
+        res.reshape(groups, cog, n, oh, ow))
+    if bias is not None:
+        out += bias
     if return_cols:
-        return out, cols_list
+        return out, cols
     return out
 
 
@@ -82,14 +77,14 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
                     cols_cache=None):
     """Gradients of conv2d w.r.t. (input, weight, bias).
 
-    cols_cache lets a caller reuse the per-group im2col buffers from the
-    forward pass; results are identical either way.
+    cols_cache lets a caller reuse the im2col buffer from the forward pass;
+    results are identical either way.
     """
     x = _as_float(x)
     weight = _as_float(weight)
     grad_out = _as_float(grad_out)
     n, cin, h, w = x.shape
-    cout, cin_g, kh, kw = weight.shape
+    cout, _, kh, kw = weight.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if grad_out.shape != (n, cout, oh, ow):
@@ -100,31 +95,25 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     cog = cout // groups
-    grad_w = np.empty_like(weight)
-    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     if cols_cache is None:
-        cols_cache = [
-            _im2col(x[:, g * cin_g:(g + 1) * cin_g], kh, kw, stride, padding)[0]
-            for g in range(groups)]
-    for g in range(groups):
-        cols = cols_cache[g]
-        gmat = np.ascontiguousarray(
-            grad_out[:, g * cog:(g + 1) * cog].transpose(1, 0, 2, 3)
-        ).reshape(cog, n * oh * ow)
-        grad_w[g * cog:(g + 1) * cog] = (
-            gmat @ cols.T).reshape(cog, cin_g, kh, kw)
-        kmat = weight[g * cog:(g + 1) * cog].reshape(cog, -1)
-        gcols = (kmat.T @ gmat).reshape(cin_g, kh, kw, n, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                gx_pad[:, g * cin_g:(g + 1) * cin_g,
-                       i:i + stride * oh:stride,
-                       j:j + stride * ow:stride] += (
-                           gcols[:, i, j].transpose(1, 0, 2, 3))
-    if padding:
-        grad_x = gx_pad[:, :, padding:-padding, padding:-padding]
-    else:
-        grad_x = gx_pad
+        cols_cache = _im2col(x, kh, kw, stride, padding, groups)
+    gmat = np.ascontiguousarray(
+        grad_out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
+    ).reshape(groups, cog, n * oh * ow)
+    grad_w = np.empty_like(weight)
+    np.matmul(gmat, cols_cache.transpose(0, 2, 1),
+              out=grad_w.reshape(groups, cog, -1))
+    kmat = weight.reshape(groups, cog, -1)
+    gcols = np.matmul(kmat.transpose(0, 2, 1), gmat).reshape(
+        cin, kh, kw, n, oh, ow)
+    # col2im, the adjoint of _im2col: one strided scatter per kernel position
+    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            window = gx_pad[:, :, i:i + stride * oh:stride,
+                            j:j + stride * ow:stride]
+            window += gcols[:, i, j].transpose(1, 0, 2, 3)
+    grad_x = gx_pad[:, :, padding:padding + h, padding:padding + w]
     return grad_x, grad_w, grad_bias
 
 

@@ -59,23 +59,3 @@ def temporal_shift_backward(grad, cfg):
     out[:, :-1, fold:2 * fold] = v[:, 1:, fold:2 * fold]
     out[:, :, 2 * fold:] = v[:, :, 2 * fold:]
     return out.reshape(grad.shape)
-
-
-def temporal_shift_reference(x, cfg):
-    """Naive per-index oracle; kept independent of the vectorized path."""
-    n, t, fold = _check_shape(x, cfg)
-    c = x.shape[1]
-    v = x.reshape(n, t, *x.shape[1:])
-    out = np.zeros_like(v)
-    for ni in range(n):
-        for ti in range(t):
-            for ci in range(c):
-                if ci < fold:
-                    src = ti + 1
-                elif ci < 2 * fold:
-                    src = ti - 1
-                else:
-                    src = ti
-                if 0 <= src < t:
-                    out[ni, ti, ci] = v[ni, src, ci]
-    return out.reshape(x.shape)

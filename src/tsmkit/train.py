@@ -16,6 +16,7 @@ import numpy as np
 
 from . import data as datamod
 from . import ops
+from .ensemble import PredictionSet, topk_accuracy
 from .model import Model, ModelConfig, build_model
 
 CKPT_MAGIC = b"TSMCKPT1"
@@ -67,30 +68,6 @@ class TrainLog:
                          f"{r['seconds']:.3f}\n")
 
 
-@dataclass
-class PredictionSet:
-    ids: list
-    probs: np.ndarray  # [num_videos, num_classes]
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            for vid, row in zip(self.ids, self.probs):
-                fh.write(json.dumps(
-                    {"id": vid, "probs": [float(p) for p in row]}) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        ids, rows = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    ids.append(rec["id"])
-                    rows.append(rec["probs"])
-        return cls(ids, np.asarray(rows, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # checkpoint file: magic, u32 version, u32 header length, JSON header,
 # u32 tensor count, then per tensor: u32 name len, name, u32 rank,
@@ -121,26 +98,34 @@ def save_checkpoint(path, model, velocities, epoch, train_cfg, epochs_run):
             fh.write(arr.tobytes())
 
 
+def _read(fh, size, path):
+    """Exactly size bytes of fh; fewer means the file was cut short."""
+    buf = fh.read(size)
+    if len(buf) < size:
+        raise ValueError(f"{path}: truncated checkpoint")
+    return buf
+
+
 def load_checkpoint(path):
     """Returns (model, velocities, header dict)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CKPT_MAGIC))
+        magic = _read(fh, len(CKPT_MAGIC), path)
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        version, hlen = struct.unpack("<2I", fh.read(8))
+        version, hlen = struct.unpack("<2I", _read(fh, 8, path))
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen))
-        (count,) = struct.unpack("<I", fh.read(4))
+        header = json.loads(_read(fh, hlen, path))
+        (count,) = struct.unpack("<I", _read(fh, 4, path))
         tensors = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode()
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+            (nlen,) = struct.unpack("<I", _read(fh, 4, path))
+            name = _read(fh, nlen, path).decode()
+            (rank,) = struct.unpack("<I", _read(fh, 4, path))
+            shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path))
             n = int(np.prod(shape)) if rank else 1
             tensors[name] = np.frombuffer(
-                fh.read(4 * n), dtype="<f4").reshape(shape).copy()
+                _read(fh, 4 * n, path), dtype="<f4").reshape(shape).copy()
     cfg = ModelConfig(**header["model_config"])
     model = build_model(cfg, seed=0)
     params = {k: v for k, v in tensors.items() if not k.startswith("velocity/")}
@@ -231,7 +216,6 @@ def _run_training(model_cfg, train_cfg, train_records, root, epochs,
         if val_records is not None:
             preds = predict_model(model, val_records, root)
             labels_by_id = {r["id"]: r["label"] for r in val_records}
-            from .ensemble import topk_accuracy
             val_top1 = topk_accuracy(preds, labels_by_id, 1)
             val_top5 = topk_accuracy(preds, labels_by_id,
                                      min(5, model_cfg.num_classes))

@@ -172,6 +172,18 @@ class TestErrorPaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_checkpoint(self, trained, tmp_path, capsys):
+        ds, _, ckpt = trained
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(ckpt.read_bytes()[:10])  # inside the version field
+        rc = cli.main(["predict", "--ckpt", str(cut), "--data",
+                       str(ds / "manifest.jsonl"),
+                       "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "truncated checkpoint" in err[0]
+
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -74,14 +74,29 @@ class TestConv2d:
         x = rng.normal(size=(3, 8, 6, 6))
         w = rng.normal(size=(8, 2, 3, 3))
         b = rng.normal(size=8)
-        got = ops.conv2d(x, w, b, padding=1, groups=4)
-        parts = [
-            ops.conv2d(x[:, 2 * g:2 * g + 2], w[2 * g:2 * g + 2],
-                       b[2 * g:2 * g + 2], padding=1)
-            for g in range(4)
-        ]
-        np.testing.assert_allclose(got, np.concatenate(parts, axis=1),
-                                   atol=1e-12)
+        for stride in (1, 2):
+            got = ops.conv2d(x, w, b, stride=stride, padding=1, groups=4)
+            parts = [
+                ops.conv2d(x[:, 2 * g:2 * g + 2], w[2 * g:2 * g + 2],
+                           b[2 * g:2 * g + 2], stride=stride, padding=1)
+                for g in range(4)
+            ]
+            np.testing.assert_allclose(got, np.concatenate(parts, axis=1),
+                                       atol=1e-12)
+            # the GEMMs batched over groups are each group's own GEMMs
+            gout = rng.normal(size=got.shape)
+            grads = ops.conv2d_backward(x, w, gout, stride=stride, padding=1,
+                                        groups=4)
+            per_group = [
+                ops.conv2d_backward(x[:, 2 * g:2 * g + 2], w[2 * g:2 * g + 2],
+                                    gout[:, 2 * g:2 * g + 2], stride=stride,
+                                    padding=1)
+                for g in range(4)
+            ]
+            # (grad_x, grad_w, grad_bias) split along channels, C_out, C_out
+            for axis, grad, parts in zip((1, 0, 0), grads, zip(*per_group)):
+                np.testing.assert_array_equal(
+                    grad, np.concatenate(parts, axis=axis))
 
     def test_shape_mismatch_error_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(1, 2, 4, 4\).*\(1, 3, 3, 3\)"):
@@ -138,14 +153,19 @@ class TestConv2dBackward:
                                 np.zeros((1, 1, 3, 3)),
                                 np.zeros((1, 1, 9, 9)))
 
-    def test_cols_cache_identical(self):
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_cols_cache_identical(self, groups, stride):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4, 6, 6))
-        w = rng.normal(size=(4, 4, 3, 3))
-        g = rng.normal(size=(2, 4, 6, 6))
-        _, cols = ops.conv2d(x, w, np.zeros(4), padding=1, return_cols=True)
-        plain = ops.conv2d_backward(x, w, g, padding=1)
-        cached = ops.conv2d_backward(x, w, g, padding=1, cols_cache=cols)
+        w = rng.normal(size=(4, 4 // groups, 3, 3))
+        out, cols = ops.conv2d(x, w, np.zeros(4), stride=stride, padding=1,
+                               groups=groups, return_cols=True)
+        g = rng.normal(size=out.shape)
+        plain = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
+                                    groups=groups)
+        cached = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
+                                     groups=groups, cols_cache=cols)
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
 

@@ -163,6 +163,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        cfg, tcfg = micro_model_cfg(), micro_train_cfg()
+        model = build_model(cfg, seed=0)
+        vel = {k: np.zeros_like(v)
+               for k, v in model.named_parameters().items()}
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(full, model, vel, 0, tcfg, 1)
+        blob = full.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_checkpoint(cut)
+
     def test_save_is_deterministic(self, dataset, tmp_path):
         cfg, tcfg = micro_model_cfg(), micro_train_cfg()
         model = build_model(cfg, seed=3)
