@@ -23,12 +23,26 @@ class PredictionSet:
     def load(cls, path):
         ids, rows = [], []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    ids.append(rec["id"])
-                    rows.append(rec["probs"])
+                if not line:
+                    continue
+                rec = json.loads(line)
+                if not (isinstance(rec, dict) and {"id", "probs"} <= rec.keys()):
+                    raise ValueError(
+                        f'{path}:{lineno}: a prediction row needs "id" and '
+                        f'"probs"')
+                row = rec["probs"]
+                if not isinstance(row, list):
+                    raise ValueError(f'{path}:{lineno}: "probs" must be a list')
+                if rows and len(row) != len(rows[0]):
+                    raise ValueError(
+                        f"{path}:{lineno}: {len(row)} probabilities, but the "
+                        f"first row has {len(rows[0])}")
+                ids.append(rec["id"])
+                rows.append(row)
+        if not rows:
+            raise ValueError(f"{path}: no prediction rows")
         return cls(ids, np.asarray(rows, dtype=np.float64))
 
 
@@ -76,10 +90,9 @@ def topk_accuracy(preds, labels_by_id, k):
     missing = [v for v in preds.ids if v not in labels_by_id]
     if missing:
         raise ValueError(f"missing labels for ids: {missing[:5]}")
-    hits = 0
-    for vid, row in zip(preds.ids, preds.probs):
-        topk = np.argsort(-row, kind="stable")[:k]
-        hits += labels_by_id[vid] in topk
+    labels = np.array([labels_by_id[v] for v in preds.ids])
+    topk = np.argsort(-preds.probs, axis=1, kind="stable")[:, :k]
+    hits = int((topk == labels[:, None]).any(axis=1).sum())
     return hits / len(preds.ids)
 
 

@@ -68,8 +68,14 @@ class Conv2d:
         self.gweight = np.zeros_like(self.weight)
         self.gbias = np.zeros_like(self.bias)
 
-    def forward(self, x):
+    def forward(self, x, train=True):
+        # Training keeps the im2col buffer for backward. Eval keeps none, and
+        # a backward after it recomputes the columns with identical results.
         self._x = x
+        if not train:
+            self._cols = None
+            return ops.conv2d(x, self.weight, self.bias, self.stride,
+                              self.padding, self.groups)
         out, self._cols = ops.conv2d(x, self.weight, self.bias, self.stride,
                                      self.padding, self.groups,
                                      return_cols=True)
@@ -159,15 +165,15 @@ class ResidualBlock:
         if stride != 1 or in_ch != out_ch:
             self.proj = Conv2d(rng, in_ch, out_ch, 1, stride, 0, 1, dtype)
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         branch = temporal_shift(x, self.shift_cfg) if self.shift_cfg else x
-        branch = self.conv1.forward(branch)
+        branch = self.conv1.forward(branch, train)
         branch = self.norm1.forward(branch)
         self._pre_relu = branch
         branch = ops.relu(branch)
-        branch = self.conv2.forward(branch)
+        branch = self.conv2.forward(branch, train)
         branch = self.norm2.forward(branch)
-        identity = self.proj.forward(x) if self.proj else x
+        identity = self.proj.forward(x, train) if self.proj else x
         return identity + branch
 
     def backward(self, g):
@@ -226,12 +232,12 @@ class Model:
                 f"batch has {frames.shape[1]} channels, model expects "
                 f"{self.cfg.in_channels}"
             )
-        x = self.stem_conv.forward(frames.astype(self.dtype, copy=False))
+        x = self.stem_conv.forward(frames.astype(self.dtype, copy=False), train)
         x = self.stem_norm.forward(x)
         self._stem_pre_relu = x
         x = ops.relu(x)
         for block in self.blocks:
-            x = block.forward(x)
+            x = block.forward(x, train)
         self._pool_shape = x.shape
         pooled = ops.global_avg_pool(x)
         self._drop_rate = self.cfg.dropout_rate if train else 0.0

@@ -184,6 +184,23 @@ class TestErrorPaths:
         assert len(err) == 1
         assert err[0].startswith("error:") and "truncated checkpoint" in err[0]
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b"}'],
+         ':2: a prediction row needs "id" and "probs"'),
+        (['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b", "probs": [1.0]}'],
+         ":2: 1 probabilities, but the first row has 2"),
+        ([], ": no prediction rows"),
+    ])
+    def test_bad_prediction_file(self, tiny_dataset, tmp_path, capsys, lines,
+                                 message):
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text("".join(line + "\n" for line in lines))
+        rc = cli.main(["eval", "--preds", str(preds), "--data",
+                       str(tiny_dataset / "manifest.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {preds}{message}"]
+
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -110,6 +110,20 @@ class TestTopkAccuracy:
         assert topk_accuracy(preds, {"v0": 3}, 1) == 0.0
         assert topk_accuracy(preds, {"v0": 1}, 2) == 1.0
 
+        # every row has multi-way ties; the reference sorts each row by
+        # (-prob, class), checked at every k and for every label
+        def reference_topk(row, k):
+            return sorted(range(len(row)), key=lambda c: (-row[c], c))[:k]
+
+        rng = np.random.default_rng(11)
+        probs = rng.choice([0.1, 0.2, 0.3], size=(30, 6))
+        preds = pset(probs)
+        for k in range(1, 7):
+            for label in range(6):
+                hits = sum(label in reference_topk(row, k) for row in probs)
+                labels = {vid: label for vid in preds.ids}
+                assert topk_accuracy(preds, labels, k) == hits / len(probs)
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(6)
         preds = random_pset(rng, 100, 8)

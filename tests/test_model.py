@@ -1,11 +1,15 @@
-"""Model construction, consensus semantics, and the end-to-end gradient."""
+"""Model construction, consensus semantics, the end-to-end gradient, and
+what an eval forward keeps."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tsmkit import ops
+from tsmkit.data import RESOLUTION
 from tsmkit.gradcheck import max_rel_error
-from tsmkit.model import CAPACITY_PRESETS, ModelConfig, build_model
+from tsmkit.model import CAPACITY_PRESETS, Conv2d, ModelConfig, build_model
 
 
 def micro_config(**overrides):
@@ -212,6 +216,62 @@ class TestEndToEndGradient:
             lambda v: ops.cross_entropy(
                 ops.softmax(m.forward(v, train=False)), labels), frames)
         assert max_rel_error(gframes, num) < 1e-4
+
+
+class TestEvalForwardCaches:
+    """An eval forward keeps no im2col buffer and tiles its convs over
+    frames; a backward after it recomputes the columns."""
+
+    @staticmethod
+    def small(dropout_rate=0.5):
+        cfg = ModelConfig(num_classes=5, capacity="small",
+                          dropout_rate=dropout_rate)
+        return build_model(cfg, seed=3)
+
+    @staticmethod
+    def frames(n):
+        rng = np.random.default_rng(n)
+        return rng.random((n, 1, RESOLUTION, RESOLUTION), dtype=np.float32)
+
+    def test_eval_forward_drops_buffers(self):
+        m = self.small()
+        frames = self.frames(16)
+        convs = [layer for _, layer in m._named_layers()
+                 if isinstance(layer, Conv2d)]
+        m.forward(frames, train=True, dropout_seed=1)
+        assert all(c._cols is not None for c in convs)
+        m.forward(frames, train=False)
+        assert all(c._cols is None for c in convs)
+
+    def test_backward_after_eval_matches_training(self):
+        # at 64 frames the eval forward runs the stage-0 convs in 3 tiles
+        frames, labels = self.frames(64), np.arange(8) % 5
+        grads = []
+        for train in (True, False):
+            m = self.small(dropout_rate=0.0)
+            m.zero_grads()
+            logits = m.forward(frames, train=train, dropout_seed=1)
+            probs = ops.softmax(logits)
+            gx = m.backward(ops.softmax_cross_entropy_backward(probs, labels))
+            grads.append((logits, gx, m.named_grads()))
+        (la, gxa, ga), (lb, gxb, gb) = grads
+        np.testing.assert_array_equal(la, lb)
+        np.testing.assert_array_equal(gxa, gxb)
+        for name in ga:
+            np.testing.assert_array_equal(ga[name], gb[name], err_msg=name)
+
+    def test_eval_forward_peak_memory(self):
+        frames = self.frames(64)
+        peaks = {}
+        for train in (False, True):
+            m = self.small()
+            tracemalloc.start()
+            try:
+                m.forward(frames, train=train, dropout_seed=1)
+                peaks[train] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] < peaks[True] / 3, peaks
 
 
 def test_presets_sane():

@@ -116,6 +116,34 @@ class TestConv2d:
         a = ops.conv2d(x, w, b, padding=1)
         np.testing.assert_array_equal(a, ops.conv2d(x, w, b, padding=1))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_tiled_forward_identical(self, dtype, groups, stride):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(31, 16, 32, 32)).astype(dtype)
+        w = rng.normal(size=(16, 16 // groups, 3, 3)).astype(dtype)
+        b = rng.normal(size=16).astype(dtype)
+        oh = 32 // stride
+        tile = ops._TILE_BYTES // (16 * 9 * oh * oh * x.itemsize)
+        assert 1 <= tile < 31 and 31 % tile  # several tiles, the last partial
+        tiled = ops.conv2d(x, w, b, stride=stride, padding=1, groups=groups)
+        whole, _ = ops.conv2d(x, w, b, stride=stride, padding=1,
+                              groups=groups, return_cols=True)
+        assert tiled.dtype == whole.dtype
+        np.testing.assert_array_equal(tiled, whole)
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_tiled_forward_identical_frame_over_tile(self, groups):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, 64, 32, 32))
+        w = rng.normal(size=(64, 64 // groups, 3, 3))
+        assert 64 * 9 * 32 * 32 * x.itemsize > ops._TILE_BYTES
+        tiled = ops.conv2d(x, w, None, padding=1, groups=groups)
+        whole, _ = ops.conv2d(x, w, None, padding=1, groups=groups,
+                              return_cols=True)
+        np.testing.assert_array_equal(tiled, whole)
+
 
 class TestConv2dBackward:
     def test_all_ones_weight_grad_is_one(self):
