@@ -27,7 +27,11 @@ class PredictionSet:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: not a JSON row") from None
                 if not (isinstance(rec, dict) and {"id", "probs"} <= rec.keys()):
                     raise ValueError(
                         f'{path}:{lineno}: a prediction row needs "id" and '
@@ -35,6 +39,12 @@ class PredictionSet:
                 row = rec["probs"]
                 if not isinstance(row, list):
                     raise ValueError(f'{path}:{lineno}: "probs" must be a list')
+                if not all(type(p) in (int, float) for p in row):
+                    raise ValueError(
+                        f'{path}:{lineno}: "probs" must hold only numbers')
+                if not all(0 <= p <= 1 for p in row):  # False for NaN too
+                    raise ValueError(
+                        f"{path}:{lineno}: a probability outside [0, 1]")
                 if rows and len(row) != len(rows[0]):
                     raise ValueError(
                         f"{path}:{lineno}: {len(row)} probabilities, but the "

@@ -61,6 +61,11 @@ def check_conv2d_grouped_strided(rng):
                        groups=2)
 
 
+def check_conv2d_odd(rng):
+    # stride-phase planes of unequal extents, on a non-square frame
+    return _check_conv(rng, (2, 3, 8, 11), (4, 3, 5, 5), stride=3, padding=2)
+
+
 def check_relu(rng):
     x = rng.normal(size=(4, 5)) + 0.1  # stay away from the kink
     p = _proj(rng, x.shape)
@@ -149,6 +154,7 @@ CHECKS = {
     "temporal_shift": check_temporal_shift,
     # last, so the checks above keep their seeds
     "conv2d_grouped_strided": check_conv2d_grouped_strided,
+    "conv2d_odd": check_conv2d_odd,
 }
 
 

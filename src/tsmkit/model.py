@@ -260,6 +260,15 @@ class Model:
         g = self.stem_norm.backward(g)
         return self.stem_conv.backward(g)
 
+    def drop_caches(self):
+        """Frees what the last forward kept for a backward: every attribute
+        a forward sets for its backward starts with an underscore. A backward
+        needs a new forward after this."""
+        for obj in (self, *self.blocks,
+                    *(layer for _, layer in self._named_layers())):
+            for name in [k for k in vars(obj) if k.startswith("_")]:
+                delattr(obj, name)
+
     # ------------------------------------------------------------------
 
     def _named_layers(self):

@@ -122,16 +122,39 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     grad_w = np.empty_like(weight)
     np.matmul(gmat, cols_cache.transpose(0, 2, 1),
               out=grad_w.reshape(groups, cog, -1))
+    # col2im, the adjoint of _im2col, through stride-phase planes. Padded
+    # row y = i + stride*oy belongs to phase i % stride, at plane row
+    # i//stride + oy, and likewise for columns. Laying the upstream gradient
+    # out with hq x wq pixels per frame, zeros outside [:oh, :ow], makes each
+    # kernel position one contiguous add of C_in rows into its phase plane
+    # at offset (i//stride)*wq + j//stride; the padded columns add exact
+    # zeros, so every element sums the same terms in the same order.
+    hq = oh + (kh - 1) // stride
+    wq = ow + (kw - 1) // stride
+    size = n * hq * wq
+    gpad = gmat
+    if (hq, wq) != (oh, ow):
+        gpad = np.zeros((cout, n, hq, wq), dtype=gmat.dtype)
+        gpad[:, :, :oh, :ow] = gmat.reshape(cout, n, oh, ow)
     kmat = weight.reshape(groups, cog, -1)
-    gcols = np.matmul(kmat.transpose(0, 2, 1), gmat).reshape(
-        cin, kh, kw, n, oh, ow)
-    # col2im, the adjoint of _im2col: one strided scatter per kernel position
-    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    gcols = np.matmul(kmat.transpose(0, 2, 1), gpad.reshape(groups, cog, size))
+    gcols = gcols.reshape(cin, kh, kw, size)
+    tail = (kh - 1) // stride * wq + (kw - 1) // stride
+    planes = {}
     for i in range(kh):
         for j in range(kw):
-            window = gx_pad[:, :, i:i + stride * oh:stride,
-                            j:j + stride * ow:stride]
-            window += gcols[:, i, j].transpose(1, 0, 2, 3)
+            phase = (i % stride, j % stride)
+            if phase not in planes:
+                planes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
+            off = i // stride * wq + j // stride
+            planes[phase][:, off:off + size] += gcols[:, i, j]
+    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    # a plane row or column past the padded input holds only padding zeros
+    for (pi, pj), plane in planes.items():
+        dst = gx_pad[:, :, pi::stride, pj::stride]
+        rows, cols = min(hq, dst.shape[2]), min(wq, dst.shape[3])
+        src = plane[:, :size].reshape(cin, n, hq, wq)[:, :, :rows, :cols]
+        dst[:, :, :rows, :cols] = src.transpose(1, 0, 2, 3)
     grad_x = gx_pad[:, :, padding:padding + h, padding:padding + w]
     return grad_x, grad_w, grad_bias
 
@@ -225,9 +248,10 @@ def affine_norm(x, scale, shift, eps=1e-5):
     Returns (out, cache).
     """
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
+    d = x - mu
+    var = (d * d).mean(axis=(0, 2, 3), keepdims=True)  # np.var, bit for bit
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat = np.multiply(d, inv_std, out=d)  # in place: d is not kept alive
     out = scale[None, :, None, None] * xhat + shift[None, :, None, None]
     return out, (xhat, inv_std, scale)
 

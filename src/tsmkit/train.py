@@ -282,6 +282,8 @@ def predict_model(model, records, root, batch_size=8):
             [_load_frames(recs[i], root, t, "eval") for i in idx], axis=0)
         logits = model.forward(frames.astype(np.float32), train=False)
         probs_by_pos[idx] = ops.softmax(logits.astype(np.float64))
+    # a batch-50 forward of the large preset leaves ~400 MB on the model
+    model.drop_caches()
     return PredictionSet([r["id"] for r in recs], probs_by_pos)
 
 

@@ -190,6 +190,16 @@ class TestErrorPaths:
         (['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b", "probs": [1.0]}'],
          ":2: 1 probabilities, but the first row has 2"),
         ([], ": no prediction rows"),
+        (['{"id": "a", "probs": [NaN, 0.5]}'],
+         ":1: a probability outside [0, 1]"),
+        (['{"id": "a", "probs": [0.5, 0.5]}',
+          '{"id": "b", "probs": [Infinity, 0]}'],
+         ":2: a probability outside [0, 1]"),
+        (['{"id": "a", "probs": [-0.5, 1.5]}'],
+         ":1: a probability outside [0, 1]"),
+        (['{"id": "a", "probs": ["x", 0.5]}'],
+         ':1: "probs" must hold only numbers'),
+        (['{"id": "a", "probs": [0.5, 0.5]'], ":1: not a JSON row"),
     ])
     def test_bad_prediction_file(self, tiny_dataset, tmp_path, capsys, lines,
                                  message):

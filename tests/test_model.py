@@ -2,6 +2,7 @@
 what an eval forward keeps."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestEndToEndGradient:
         for name, p in m.named_parameters().items():
             flat = p.reshape(-1)
             gflat = grads[name].reshape(-1)
-            pick = np.random.default_rng(abs(hash(name)) % 2**32)
+            pick = np.random.default_rng(zlib.crc32(name.encode()))
             for i in pick.choice(flat.size, size=min(3, flat.size),
                                  replace=False):
                 orig = flat[i]

@@ -6,6 +6,7 @@ import pytest
 
 from tsmkit import ops
 from tsmkit.gradcheck import max_rel_error, numerical_gradient, run_all
+from tsmkit.model import Conv2d, ModelConfig, build_model
 
 
 def naive_conv2d(x, weight, bias, stride=1, padding=0):
@@ -29,6 +30,28 @@ def naive_conv2d(x, weight, bias, stride=1, padding=0):
                                         * weight[co, ci, ky, kx])
                     out[ni, co, oy, ox] = acc + bias[co]
     return out
+
+
+def scatter_grad_x(x, weight, grad_out, stride, padding, groups):
+    """Input gradient of conv2d through one strided scatter per kernel
+    position into the padded input: the col2im oracle."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    _, _, oh, ow = grad_out.shape
+    cog = cout // groups
+    gmat = np.ascontiguousarray(
+        grad_out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
+    ).reshape(groups, cog, n * oh * ow)
+    kmat = weight.reshape(groups, cog, -1)
+    gcols = np.matmul(kmat.transpose(0, 2, 1), gmat).reshape(
+        cin, kh, kw, n, oh, ow)
+    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            window = gx_pad[:, :, i:i + stride * oh:stride,
+                            j:j + stride * ow:stride]
+            window += gcols[:, i, j].transpose(1, 0, 2, 3)
+    return gx_pad[:, :, padding:padding + h, padding:padding + w]
 
 
 class TestConv2d:
@@ -196,6 +219,48 @@ class TestConv2dBackward:
                                      groups=groups, cols_cache=cols)
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_preset_layers_equal_scatter(self, capacity, in_ch, dtype):
+        model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
+                                        capacity=capacity), dtype=dtype)
+        rng = np.random.default_rng(11)
+        model.forward(rng.normal(size=(64, in_ch, 32, 32)).astype(dtype))
+        convs = [layer for _, layer in model._named_layers()
+                 if isinstance(layer, Conv2d)]
+        assert {(c.weight.shape[2], c.stride) for c in convs} == {
+            (3, 1), (3, 2), (1, 2)}
+        for c in convs:
+            args = (c.stride, c.padding, c.groups)
+            out = ops.conv2d(c._x, c.weight, c.bias, *args)
+            g = rng.normal(size=out.shape).astype(dtype)
+            gx, _, _ = ops.conv2d_backward(c._x, c.weight, g, *args)
+            want = scatter_grad_x(c._x, c.weight, g, *args)
+            assert gx.dtype == want.dtype and gx.strides == want.strides
+            np.testing.assert_array_equal(gx, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("k,stride,padding", [
+        (5, 3, 0), (5, 3, 2), (1, 2, 0), (2, 3, 1), (3, 2, 0), (4, 2, 1),
+    ])
+    def test_unequal_phase_planes(self, k, stride, padding, groups, dtype):
+        # 8x11 frames: the phase planes differ in extent along both axes
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
+        w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
+        out = ops.conv2d(x, w, None, stride, padding, groups)
+        g = rng.normal(size=out.shape).astype(dtype)
+        gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups)
+        want = scatter_grad_x(x, w, g, stride, padding, groups)
+        assert gx.shape == x.shape and gx.dtype == want.dtype
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(gx, want, rtol=16 * eps,
+                                   atol=16 * eps * np.abs(want).max())
+        np.testing.assert_array_equal(gx == 0, want == 0)
 
 
 class TestSoftmaxCrossEntropy:

@@ -206,6 +206,23 @@ class TestPredict:
         b = predict_model(model, recs, root)
         np.testing.assert_array_equal(a.probs, b.probs)
 
+    def test_keeps_no_activations(self, dataset):
+        # the arrays a forward keeps for a backward are freed after predicting
+        root, records = dataset
+        model = build_model(micro_model_cfg(), seed=0)
+        recs = [r for r in records if r["modality"] == "ir"][:16]
+        objs = [model, *model.blocks, *(l for _, l in model._named_layers())]
+
+        def held():
+            return sum(v.nbytes for o in objs for v in vars(o).values()
+                       if isinstance(v, np.ndarray))
+
+        params_and_grads = held()
+        model.forward(np.zeros((8, 1, 32, 32), np.float32))
+        assert held() > params_and_grads
+        predict_model(model, recs, root)
+        assert held() == params_and_grads
+
     def test_untrained_model_near_uniform(self, dataset):
         # a freshly initialized 5-class model should put its top probability
         # near 1/K on every video: mean max prob within 0.2 +/- 0.1
