@@ -307,11 +307,32 @@ def save_manifest(records, path):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+MANIFEST_KEYS = ("frames", "id", "label", "modality", "path", "split")
+
+
 def load_manifest(path):
+    """The records of a JSON-lines manifest. A line that is not a JSON object
+    holding every key of MANIFEST_KEYS, or a file without rows, raises a
+    one-line ValueError naming the file and line."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a JSON row") from None
+            if not isinstance(rec, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: a manifest row must be a JSON object")
+            missing = [k for k in MANIFEST_KEYS if k not in rec]
+            if missing:
+                raise ValueError(
+                    f"{path}:{lineno}: a manifest row needs "
+                    + ", ".join(f'"{k}"' for k in missing))
+            records.append(rec)
+    if not records:
+        raise ValueError(f"{path}: no manifest rows")
     return records

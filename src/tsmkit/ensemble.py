@@ -83,11 +83,26 @@ def ensemble(members):
         raise ValueError(f"weights must be nonnegative, got {weights}")
     if weights.sum() == 0:
         raise ValueError("at least one ensemble weight must be positive")
-    total = np.zeros_like(members[0][0].probs)
-    for (preds, _), w in zip(members, weights):
-        total += w * preds.probs
-    total /= total.sum(axis=1, keepdims=True)
-    return PredictionSet(list(members[0][0].ids), total)
+    total = _fuse([preds.probs for preds, _ in members], weights[None])
+    return PredictionSet(list(members[0][0].ids), total[0])
+
+
+def _fuse(probs, weights):
+    """Fused rows [G, N, K] of the member rows probs (M arrays [N, K]) under
+    each of the weight vectors weights [G, M]: the members scaled and added
+    in order, then every row renormalized to sum 1."""
+    total = np.zeros((len(weights),) + probs[0].shape, dtype=probs[0].dtype)
+    for i, p in enumerate(probs):
+        total += weights[:, i, None, None] * p
+    total /= total.sum(axis=2, keepdims=True)
+    return total
+
+
+def _label_array(ids, labels_by_id):
+    missing = [v for v in ids if v not in labels_by_id]
+    if missing:
+        raise ValueError(f"missing labels for ids: {missing[:5]}")
+    return np.array([labels_by_id[v] for v in ids])
 
 
 def topk_accuracy(preds, labels_by_id, k):
@@ -97,10 +112,7 @@ def topk_accuracy(preds, labels_by_id, k):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    missing = [v for v in preds.ids if v not in labels_by_id]
-    if missing:
-        raise ValueError(f"missing labels for ids: {missing[:5]}")
-    labels = np.array([labels_by_id[v] for v in preds.ids])
+    labels = _label_array(preds.ids, labels_by_id)
     topk = np.argsort(-preds.probs, axis=1, kind="stable")[:, :k]
     hits = int((topk == labels[:, None]).any(axis=1).sum())
     return hits / len(preds.ids)
@@ -126,27 +138,45 @@ def _simplex_grid(n, step):
         yield tuple(c / units for c in combo)
 
 
+# search_weights scores this many bytes of fused float64 rows at a time, and
+# then as many of int64 class ranks: 65 grid points of 100 videos x 20
+# classes, of the 1771 at step 0.05. On the 2-core reference machine that
+# search took 0.14-0.17 s with chunks of 256 KiB to 1 MiB, and 0.21 s and
+# 16 MB more peak memory with 4 MiB ones.
+_SEARCH_CHUNK_BYTES = 1 << 20
+
+
 def search_weights(members, labels_by_id, step=0.05):
     """Exhaustive grid search over the weight simplex, maximizing val top-1.
 
     Ties break toward higher top-5, then lexicographically smallest weights.
     Returns (weights tuple, top1, top5).
+
+    The fused rows of a chunk of grid points are made at once, as
+    ensemble() makes them, and ranked with the stable sort of topk_accuracy.
     """
     if not 2 <= len(members) <= 4:
         raise ValueError(f"search supports 2..4 members, got {len(members)}")
     _check_members([(m, 1.0) for m in members])
-    k5 = min(5, members[0].probs.shape[1])
-    best = None
-    for weights in _simplex_grid(len(members), step):
-        if sum(weights) == 0:
-            continue
-        combined = ensemble(list(zip(members, weights)))
-        top1 = topk_accuracy(combined, labels_by_id, 1)
-        top5 = topk_accuracy(combined, labels_by_id, k5)
-        key = (-top1, -top5, weights)
-        if best is None or key < best[0]:
-            best = (key, weights, top1, top5)
-    return best[1], best[2], best[3]
+    labels = _label_array(members[0].ids, labels_by_id)
+    n, k = members[0].probs.shape
+    k5 = min(5, k)
+    grid = list(_simplex_grid(len(members), step))  # lexicographic order
+    weights = np.array(grid)
+    chunk = max(1, _SEARCH_CHUNK_BYTES // (n * k * 8))
+    best = None  # (score, grid index, top-1 hits, top-5 hits)
+    for g0 in range(0, len(grid), chunk):
+        total = _fuse([m.probs for m in members], weights[g0:g0 + chunk])
+        ranked = np.argsort(-total, axis=2, kind="stable")[:, :, :k5]
+        hits = ranked == labels[:, None]
+        top1 = hits[:, :, 0].sum(axis=1)
+        top5 = hits.any(axis=2).sum(axis=1)
+        score = top1 * (n + 1) + top5  # orders by top-1, then top-5
+        g = int(np.argmax(score))  # the first maximum: the smallest weights
+        if best is None or score[g] > best[0]:
+            best = (score[g], g0 + g, int(top1[g]), int(top5[g]))
+    _, g, top1, top5 = best
+    return grid[g], top1 / n, top5 / n
 
 
 def report(rows, labels_by_id):

@@ -20,15 +20,59 @@ def _as_float(x):
 # convolution
 
 
+def _valid_range(offset, padding, stride, size, count):
+    """[lo, hi) of the q in [0, count) whose padded index offset + stride*q
+    falls inside the unpadded extent [padding, padding + size)."""
+    lo = min(count, max(0, -((offset - padding) // stride)))
+    hi = max(lo, min(count, (size - 1 + padding - offset) // stride + 1))
+    return lo, hi
+
+
 def _im2col(x, kh, kw, stride, padding, groups):
     """Patches of x as one [G, C/G*kh*kw, N*H'*W'] array: rows run over
-    (channel, ky, kx) and columns over (n, y', x')."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [N, C, H', W', kh, kw]
-    n, _, oh, ow = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    (channel, ky, kx) and columns over (n, y', x').
+
+    Built through row-phase planes, without padding x. Kernel row i reads
+    padded rows i + stride*y', which are rows i//stride + y' of the plane of
+    row phase a = i % stride, the plane of padded rows a + stride*q. For
+    each phase and kernel column j, one strided copy from x fills a plane
+    [C, N, hq, W'] of padded columns j + stride*x', zero where it reaches
+    into the padding, with hq = H' + (kh-1-a)//stride rows. Each kernel row
+    of the phase is then one copy of H'*W' contiguous floats per (channel,
+    frame), from plane row i//stride. The columns are bit for bit those of
+    a gather from a sliding-window view of the zero-padded input.
+    """
+    n, c, h, w = x.shape
+    s = stride
+    oh = (h + 2 * padding - kh) // s + 1
+    ow = (w + 2 * padding - kw) // s + 1
+    cols = np.empty((c, kh, kw, n, oh * ow), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for a in range(min(s, kh)):
+        hq = oh + (kh - 1 - a) // s
+        q0, q1 = _valid_range(a, padding, s, h, hq)
+        for j in range(kw):
+            x0, x1 = _valid_range(j, padding, s, w, ow)
+            if hq == oh:  # the phase's only kernel row: fill its columns
+                plane = cols[:, a, j].reshape(c, n, oh, ow)
+                plane[:, :, :q0] = 0
+                plane[:, :, q1:] = 0
+                plane[:, :, q0:q1, :x0] = 0
+                plane[:, :, q0:q1, x1:] = 0
+            elif padding:  # one zeroing pass costs less than its border
+                plane = np.zeros((c, n, hq, ow), x.dtype)
+            else:  # without padding every plane element comes from x
+                plane = np.empty((c, n, hq, ow), x.dtype)
+            if q1 > q0 and x1 > x0:
+                r0, c0 = a + s * q0 - padding, j + s * x0 - padding
+                plane[:, :, q0:q1, x0:x1] = xt[
+                    :, :, r0:r0 + s * (q1 - q0 - 1) + 1:s,
+                    c0:c0 + s * (x1 - x0 - 1) + 1:s]
+            if hq != oh:
+                flat = plane.reshape(c, n, hq * ow)
+                for i in range(a, kh, s):
+                    off = i // s * ow
+                    cols[:, i, j] = flat[:, :, off:off + oh * ow]
     return cols.reshape(groups, -1, n * oh * ow)
 
 
@@ -249,10 +293,13 @@ def affine_norm(x, scale, shift, eps=1e-5):
     """
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
     d = x - mu
-    var = (d * d).mean(axis=(0, 2, 3), keepdims=True)  # np.var, bit for bit
+    out = d * d
+    var = out.mean(axis=(0, 2, 3), keepdims=True)  # np.var, bit for bit
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = np.multiply(d, inv_std, out=d)  # in place: d is not kept alive
-    out = scale[None, :, None, None] * xhat + shift[None, :, None, None]
+    # scale * xhat + shift, written into the d * d buffer
+    np.multiply(scale[None, :, None, None], xhat, out=out)
+    out += shift[None, :, None, None]
     return out, (xhat, inv_std, scale)
 
 
@@ -260,15 +307,20 @@ def affine_norm_backward(cache, grad_out):
     xhat, inv_std, scale = cache
     n, _, h, w = grad_out.shape
     m = n * h * w
-    grad_scale = (grad_out * xhat).sum(axis=(0, 2, 3))
+    tmp = grad_out * xhat
+    grad_scale = tmp.sum(axis=(0, 2, 3))
     grad_shift = grad_out.sum(axis=(0, 2, 3))
-    gxhat = grad_out * scale[None, :, None, None]
-    # standard batch-statistics backward (mean and var depend on x)
-    grad_x = (inv_std / m) * (
-        m * gxhat
-        - gxhat.sum(axis=(0, 2, 3), keepdims=True)
-        - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    )
+    grad_x = grad_out * scale[None, :, None, None]  # gxhat, until scaled below
+    # standard batch-statistics backward (mean and var depend on x):
+    # (inv_std / m) * (m * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat)),
+    # each step in place on one of two buffers
+    s1 = grad_x.sum(axis=(0, 2, 3), keepdims=True)
+    s2 = np.multiply(grad_x, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
+    np.multiply(xhat, s2, out=tmp)
+    np.multiply(m, grad_x, out=grad_x)
+    grad_x -= s1
+    grad_x -= tmp
+    grad_x *= inv_std / m
     return grad_x, grad_scale, grad_shift
 
 

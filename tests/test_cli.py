@@ -211,6 +211,29 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {preds}{message}"]
 
+    @pytest.mark.parametrize("lines, message", [
+        ([], ": no manifest rows"),
+        (['{"id": "a", "label": 0'], ":1: not a JSON row"),
+        (["[1, 2]"], ":1: a manifest row must be a JSON object"),
+        (['{"id": "a", "label": 0, "modality": "ir", "frames": 8, '
+          '"path": "a_ir.tsmv", "split": "train"}',
+          '{"id": "b", "modality": "ir", "frames": 8, "path": "b_ir.tsmv"}'],
+         ':2: a manifest row needs "label", "split"'),
+    ])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_bad_manifest(self, trained, tmp_path, capsys, command, lines,
+                          message):
+        _, _, ckpt = trained
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(line + "\n" for line in lines))
+        args = {"train": ["--classes", "2", "--epochs", "1"],
+                "predict": ["--ckpt", str(ckpt)]}[command]
+        rc = cli.main([command, "--data", str(manifest),
+                       "--out", str(tmp_path / "out"), *args])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {manifest}{message}"]
+
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -4,8 +4,9 @@ reporting."""
 import numpy as np
 import pytest
 
-from tsmkit.ensemble import (MetricReport, ensemble, load_spec, report,
-                             report_csv, save_spec, search_weights,
+from tsmkit import ensemble as ensmod
+from tsmkit.ensemble import (MetricReport, _simplex_grid, ensemble, load_spec,
+                             report, report_csv, save_spec, search_weights,
                              topk_accuracy)
 from tsmkit.train import PredictionSet
 
@@ -33,6 +34,21 @@ def naive_weighted(members):
     return out
 
 
+def loop_search_weights(members, labels_by_id, step):
+    """The weight search as one ensemble() and two topk_accuracy() calls per
+    grid point: the oracle for the vectorized search."""
+    k5 = min(5, members[0].probs.shape[1])
+    best = None
+    for weights in _simplex_grid(len(members), step):
+        combined = ensemble(list(zip(members, weights)))
+        top1 = topk_accuracy(combined, labels_by_id, 1)
+        top5 = topk_accuracy(combined, labels_by_id, k5)
+        key = (-top1, -top5, weights)
+        if best is None or key < best[0]:
+            best = (key, weights, top1, top5)
+    return best[1:]
+
+
 class TestEnsemble:
     def test_one_hot_agreement_recovered_exactly(self):
         eye = pset(np.eye(4)[[0, 2, 1, 3]])
@@ -53,6 +69,21 @@ class TestEnsemble:
         out = ensemble(members)
         np.testing.assert_allclose(out.probs, naive_weighted(members),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equals_member_loop(self, dtype):
+        rng = np.random.default_rng(6)
+        members = [(random_pset(rng, 24, 7), w)
+                   for w in (0.3, 0.1, 0.45, 0.15)]
+        for preds, _ in members:
+            preds.probs = preds.probs.astype(dtype)
+        want = np.zeros_like(members[0][0].probs)
+        for preds, w in members:
+            want += np.float64(w) * preds.probs
+        want /= want.sum(axis=1, keepdims=True)
+        got = ensemble(members).probs
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_rows_stay_probabilities(self):
         rng = np.random.default_rng(2)
@@ -185,6 +216,30 @@ class TestSearchWeights:
                 best = key
         weights, top1, top5 = search_weights(members, labels, step=0.25)
         assert (-top1, -top5, weights) == best
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1, 3000])
+    @pytest.mark.parametrize("num_members,k", [(2, 3), (3, 6), (4, 7)])
+    def test_equals_per_point_loop(self, num_members, k, chunk_bytes,
+                                   monkeypatch):
+        if chunk_bytes is not None:  # one grid point, or a few, per chunk
+            monkeypatch.setattr(ensmod, "_SEARCH_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(13 + num_members)
+        n = 24
+        labels = self._labeled(rng, n=n, k=k)
+        members = []
+        for _ in range(num_members):
+            # coarse probabilities tie classes within rows and tie grid
+            # points on top-1 and top-5; a repeated row ties members
+            rows = rng.integers(0, 3, size=(n, k)).astype(np.float64) + 0.5
+            rows[::4] = 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            members.append(pset(rows))
+        members[-1].probs[1] = members[0].probs[1]
+        for step in (0.5, 0.25, 0.1):
+            got = search_weights(members, labels, step=step)
+            want = loop_search_weights(members, labels, step)
+            assert got == want
+            assert all(type(v) is float for v in (*got[0], *got[1:]))
 
     def test_grid_covers_weights_summing_to_one(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,8 @@
 """Tensor-op forward semantics, analytic gradients vs central differences,
 and the SGD update rule."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,45 @@ def naive_conv2d(x, weight, bias, stride=1, padding=0):
                                         * weight[co, ci, ky, kx])
                     out[ni, co, oy, ox] = acc + bias[co]
     return out
+
+
+def window_im2col(x, kh, kw, stride, padding, groups):
+    """im2col as one gather from a 6-D sliding-window view of the np.pad-ed
+    input: the column-matrix oracle."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [N, C, H', W', kh, kw]
+    n, _, oh, ow = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(groups, -1, n * oh * ow)
+
+
+def formula_affine_norm(x, scale, shift, eps=1e-5):
+    """affine_norm as plain expressions, one new array per step: the oracle
+    for its in-place forward."""
+    mu = x.mean(axis=(0, 2, 3), keepdims=True)
+    d = x - mu
+    var = (d * d).mean(axis=(0, 2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = d * inv_std
+    out = scale[None, :, None, None] * xhat + shift[None, :, None, None]
+    return out, (xhat, inv_std, scale)
+
+
+def formula_affine_norm_backward(cache, grad_out):
+    xhat, inv_std, scale = cache
+    n, _, h, w = grad_out.shape
+    m = n * h * w
+    grad_scale = (grad_out * xhat).sum(axis=(0, 2, 3))
+    grad_shift = grad_out.sum(axis=(0, 2, 3))
+    gxhat = grad_out * scale[None, :, None, None]
+    grad_x = (inv_std / m) * (
+        m * gxhat
+        - gxhat.sum(axis=(0, 2, 3), keepdims=True)
+        - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    )
+    return grad_x, grad_scale, grad_shift
 
 
 def scatter_grad_x(x, weight, grad_out, stride, padding, groups):
@@ -166,6 +207,30 @@ class TestConv2d:
         whole, _ = ops.conv2d(x, w, None, padding=1, groups=groups,
                               return_cols=True)
         np.testing.assert_array_equal(tiled, whole)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_equals_window_gather(self, batch, groups, dtype):
+        rng = np.random.default_rng(13)
+        kernels = [(k, k) for k in range(1, 6)] + [(1, 3), (3, 1), (2, 5),
+                                                   (5, 2), (4, 3)]
+        for h, w in [(5, 9), (7, 7), (9, 5), (1, 3)]:
+            x = rng.normal(size=(batch, 4, h, w)).astype(dtype)
+            for (kh, kw), stride, padding in itertools.product(
+                    kernels, (1, 2, 3), (0, 1, 2)):
+                if kh > h + 2 * padding or kw > w + 2 * padding:
+                    continue
+                args = (kh, kw, stride, padding, groups)
+                got = ops._im2col(x, *args)
+                want = window_im2col(x, *args)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want, err_msg=str(args))
+                # the padding zeros are +0.0, as np.pad writes them
+                np.testing.assert_array_equal(np.signbit(got),
+                                              np.signbit(want))
 
 
 class TestConv2dBackward:
@@ -333,6 +398,29 @@ class TestAffineNorm:
         base, _ = ops.affine_norm(x, np.ones(2), np.zeros(2))
         np.testing.assert_allclose(out[:, 0], 2 * base[:, 0] + 1, atol=1e-12)
         np.testing.assert_allclose(out[:, 1], -1.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_steps_equal_formulas(self, dtype):
+        rng = np.random.default_rng(14)
+        x = rng.normal(loc=1.0, scale=3.0, size=(6, 5, 7, 9)).astype(dtype)
+        scale = rng.normal(size=5).astype(dtype)
+        shift = rng.normal(size=5).astype(dtype)
+        out, cache = ops.affine_norm(x, scale, shift)
+        want, want_cache = formula_affine_norm(x, scale, shift)
+        assert out.dtype == want.dtype
+        np.testing.assert_array_equal(out, want)
+        for a, b in zip(cache, want_cache):
+            np.testing.assert_array_equal(a, b)
+        # a contiguous upstream gradient and a strided view of a larger one
+        g = rng.normal(size=(6, 5, 9, 11)).astype(dtype)
+        for grad_out in (np.ascontiguousarray(g[:, :, 1:8, 1:10]),
+                         g[:, :, 1:8, 1:10]):
+            got = ops.affine_norm_backward(cache, grad_out)
+            want = formula_affine_norm_backward(want_cache, grad_out)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
 
 class TestSgdStep:
