@@ -70,7 +70,7 @@ def cmd_train(args):
     root = manifest.parent
     model_cfg = ModelConfig(
         num_classes=args.classes,
-        in_channels=3 if args.modality == "rgb" else 1,
+        in_channels=datamod.MODALITIES[args.modality][0],
         num_segments=args.segments,
         capacity=args.capacity,
         dropout_rate=args.dropout,
@@ -79,8 +79,7 @@ def cmd_train(args):
     )
     train_cfg = TrainConfig(
         lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
-        batch_size=args.batch_size, seed=args.seed,
-        epochs_phase1=args.epochs or 100, epochs_phase2=args.epochs or 200)
+        batch_size=args.batch_size, seed=args.seed)
 
     def log_fn(rec):
         parts = [f"epoch {rec['epoch']:3d}", f"loss {rec['train_loss']:.4f}"]
@@ -89,22 +88,23 @@ def cmd_train(args):
                          f"top5 {rec['val_top5']:.4f}")
         print("  ".join(parts))
 
+    # without --epochs each phase runs its default epoch count
+    run_args = dict(init_from=args.init_from, log_fn=log_fn)
+    if args.epochs is not None:
+        run_args["epochs"] = args.epochs
     if args.phase == 1:
         train_recs = _records_for_split(manifest, "train")
         val_recs = _records_for_split(manifest, "val")
         model, vel, log = train_phase1(
-            model_cfg, train_cfg, train_recs, val_recs, root,
-            epochs=args.epochs, init_from=args.init_from, log_fn=log_fn)
-        epochs_run = args.epochs or train_cfg.epochs_phase1
+            model_cfg, train_cfg, train_recs, val_recs, root, **run_args)
     else:
         records = datamod.load_manifest(manifest)
         full = [r for r in records if r["split"] in ("train", "val")]
-        model, vel, log = train_phase2(
-            model_cfg, train_cfg, full, root, epochs=args.epochs,
-            init_from=args.init_from, log_fn=log_fn)
-        epochs_run = args.epochs or train_cfg.epochs_phase2
-    save_checkpoint(args.out, model, vel, len(log.records) - 1, train_cfg,
-                    epochs_run)
+        model, vel, log = train_phase2(model_cfg, train_cfg, full, root,
+                                       **run_args)
+    # nothing here stops a run early, so the log has one record per epoch
+    epochs = len(log.records)
+    save_checkpoint(args.out, model, vel, epochs - 1, train_cfg, epochs)
     if args.log:
         log.to_csv(args.log)
     _write_config(str(args.out) + ".config.json", args, "train")
@@ -116,7 +116,7 @@ def cmd_predict(args):
     manifest = Path(args.data)
     records = _records_for_split(manifest, args.split)
     model, _, _ = load_checkpoint(args.ckpt)
-    modality = "rgb" if model.cfg.in_channels == 3 else "ir"
+    modality = datamod.modality_for(model.cfg.in_channels)
     records = [r for r in records if r["modality"] == modality]
     if not records:
         raise ValueError(f"no {modality!r} records in split {args.split!r}")
@@ -225,7 +225,8 @@ def build_parser():
     t.add_argument("--data", required=True, help="manifest.jsonl path")
     t.add_argument("--out", required=True, help="checkpoint output path")
     t.add_argument("--phase", type=int, choices=(1, 2), default=1)
-    t.add_argument("--modality", choices=("rgb", "ir"), default="ir")
+    t.add_argument("--modality", choices=sorted(datamod.MODALITIES),
+                   default="ir")
     t.add_argument("--capacity", choices=("small", "large"), default="small")
     t.add_argument("--classes", type=int, default=5)
     t.add_argument("--segments", type=int, default=8)

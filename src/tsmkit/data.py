@@ -8,6 +8,7 @@ single frame separates them.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,14 @@ MODALITIES = {
     "rgb": (3, 0.35, 0.08),
 }
 _RGB_TINT = np.array([1.0, 0.85, 0.6])
+
+
+def modality_for(channels):
+    """The modality whose clips have this many channels."""
+    for name, (c, _, _) in MODALITIES.items():
+        if c == channels:
+            return name
+    raise ValueError(f"no modality has {channels} channels")
 
 
 def _blob(h, w, cy, cx, sigma=2.5):
@@ -73,10 +82,6 @@ def _motion_programs():
 
 MOTION_PROGRAMS = _motion_programs()
 MAX_CLASSES = len(MOTION_PROGRAMS)
-
-
-def class_name(label):
-    return MOTION_PROGRAMS[label][0]
 
 
 def hflip_safe(label):
@@ -186,14 +191,20 @@ def write_clip(path, frames):
 
 
 def read_clip(path):
+    """Frames [T, C, H, W] of a clip file; a bad one raises ValueError."""
+    head = len(CLIP_MAGIC) + 16
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < head:
+            raise ValueError(f"{path}: truncated clip header")
         magic = fh.read(len(CLIP_MAGIC))
         if magic != CLIP_MAGIC:
             raise ValueError(f"{path}: bad clip magic {magic!r}")
         t, c, h, w = struct.unpack("<4I", fh.read(16))
-        data = np.frombuffer(fh.read(t * c * h * w * 4), dtype="<f4")
-        if data.size != t * c * h * w:
-            raise ValueError(f"{path}: truncated clip file")
+        if size < head + 4 * t * c * h * w:
+            raise ValueError(f"{path}: truncated clip file: {size} bytes for "
+                             f"a {t}x{c}x{h}x{w} clip")
+        data = np.frombuffer(fh.read(4 * t * c * h * w), dtype="<f4")
     return data.reshape(t, c, h, w)
 
 

@@ -69,22 +69,22 @@ class Conv2d:
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, train=True):
-        # Training keeps the im2col buffer for backward. Eval keeps none, and
-        # a backward after it recomputes the columns with identical results.
-        self._x = x
+        # Recording keeps the input and its whole im2col buffer for backward;
+        # otherwise the columns are built a tile of frames at a time.
         if not train:
-            self._cols = None
+            self._cache = None
             return ops.conv2d(x, self.weight, self.bias, self.stride,
                               self.padding, self.groups)
-        out, self._cols = ops.conv2d(x, self.weight, self.bias, self.stride,
-                                     self.padding, self.groups,
-                                     return_cols=True)
+        out, cols = ops.conv2d(x, self.weight, self.bias, self.stride,
+                               self.padding, self.groups, return_cols=True)
+        self._cache = x, cols
         return out
 
     def backward(self, g):
-        gx, gw, gb = ops.conv2d_backward(self._x, self.weight, g, self.stride,
+        x, cols = self._cache
+        gx, gw, gb = ops.conv2d_backward(x, self.weight, g, self.stride,
                                          self.padding, self.groups,
-                                         cols_cache=self._cols)
+                                         cols_cache=cols)
         self.gweight += gw
         self.gbias += gb
         return gx
@@ -104,8 +104,9 @@ class AffineNorm:
         self.gscale = np.zeros_like(self.scale)
         self.gshift = np.zeros_like(self.shift)
 
-    def forward(self, x):
-        out, self._cache = ops.affine_norm(x, self.scale, self.shift)
+    def forward(self, x, train=True):
+        out, cache = ops.affine_norm(x, self.scale, self.shift)
+        self._cache = cache if train else None
         return out
 
     def backward(self, g):
@@ -129,12 +130,12 @@ class Linear:
         self.gweight = np.zeros_like(self.weight)
         self.gbias = np.zeros_like(self.bias)
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, train=True):
+        self._cache = x if train else None
         return ops.linear(x, self.weight, self.bias)
 
     def backward(self, g):
-        gx, gw, gb = ops.linear_backward(self._x, self.weight, g)
+        gx, gw, gb = ops.linear_backward(self._cache, self.weight, g)
         self.gweight += gw
         self.gbias += gb
         return gx
@@ -167,19 +168,17 @@ class ResidualBlock:
 
     def forward(self, x, train=True):
         branch = temporal_shift(x, self.shift_cfg) if self.shift_cfg else x
-        branch = self.conv1.forward(branch, train)
-        branch = self.norm1.forward(branch)
-        self._pre_relu = branch
+        branch = self.norm1.forward(self.conv1.forward(branch, train), train)
+        self._cache = branch if train else None  # pre-ReLU
         branch = ops.relu(branch)
-        branch = self.conv2.forward(branch, train)
-        branch = self.norm2.forward(branch)
+        branch = self.norm2.forward(self.conv2.forward(branch, train), train)
         identity = self.proj.forward(x, train) if self.proj else x
         return identity + branch
 
     def backward(self, g):
         gb = self.norm2.backward(g)
         gb = self.conv2.backward(gb)
-        gb = ops.relu_backward(self._pre_relu, gb)
+        gb = ops.relu_backward(self._cache, gb)
         gb = self.norm1.backward(gb)
         gb = self.conv1.backward(gb)
         if self.shift_cfg:
@@ -222,7 +221,8 @@ class Model:
     # ------------------------------------------------------------------
 
     def forward(self, frames, train=False, dropout_seed=0):
-        """Frames [N*T, C, H, W] -> clip logits [N, num_classes]."""
+        """Frames [N*T, C, H, W] -> clip logits [N, num_classes]. A training
+        forward records what backward reads; an eval forward only its frames."""
         t = self.cfg.num_segments
         nt = frames.shape[0]
         if nt % t:
@@ -232,42 +232,40 @@ class Model:
                 f"batch has {frames.shape[1]} channels, model expects "
                 f"{self.cfg.in_channels}"
             )
-        x = self.stem_conv.forward(frames.astype(self.dtype, copy=False), train)
-        x = self.stem_norm.forward(x)
-        self._stem_pre_relu = x
-        x = ops.relu(x)
+        self._frames = frames
+        rate = self.cfg.dropout_rate if train else 0.0
+        return self._run(frames, train, rate, dropout_seed)
+
+    def _run(self, frames, record, drop_rate, dropout_seed):
+        x = frames.astype(self.dtype, copy=False)
+        stem = self.stem_norm.forward(self.stem_conv.forward(x, record), record)
+        x = ops.relu(stem)
         for block in self.blocks:
-            x = block.forward(x, train)
-        self._pool_shape = x.shape
-        pooled = ops.global_avg_pool(x)
-        self._drop_rate = self.cfg.dropout_rate if train else 0.0
-        dropped, self._drop_mask = ops.dropout(
-            pooled, self._drop_rate, dropout_seed, train=train)
-        frame_logits = self.head.forward(dropped)
-        return frame_logits.reshape(nt // t, t, -1).mean(axis=1)
+            x = block.forward(x, record)
+        dropped, mask = ops.dropout(ops.global_avg_pool(x), drop_rate,
+                                    dropout_seed)
+        self._cache = (stem, x.shape, mask, drop_rate) if record else None
+        logits = self.head.forward(dropped, record)
+        return logits.reshape(-1, self.cfg.num_segments, logits.shape[1]).mean(axis=1)
 
     def backward(self, grad_logits):
-        """Accumulates parameter gradients from d(loss)/d(clip logits)."""
+        """Accumulates parameter gradients from d(loss)/d(clip logits). After
+        an eval forward it first replays that forward, recording, without
+        dropout: a second forward buys an eval that keeps nothing."""
+        if self._cache is None:
+            self._run(self._frames, True, 0.0, 0)
+        stem, pool_shape, mask, drop_rate = self._cache
         t = self.cfg.num_segments
         n, k = grad_logits.shape
         g = np.broadcast_to(grad_logits[:, None, :], (n, t, k)).reshape(n * t, k) / t
         g = self.head.backward(np.ascontiguousarray(g))
-        g = ops.dropout_backward(self._drop_mask, self._drop_rate, g)
-        g = ops.global_avg_pool_backward(self._pool_shape, g)
+        g = ops.dropout_backward(mask, drop_rate, g)
+        g = ops.global_avg_pool_backward(pool_shape, g)
         for block in reversed(self.blocks):
             g = block.backward(g)
-        g = ops.relu_backward(self._stem_pre_relu, g)
+        g = ops.relu_backward(stem, g)
         g = self.stem_norm.backward(g)
         return self.stem_conv.backward(g)
-
-    def drop_caches(self):
-        """Frees what the last forward kept for a backward: every attribute
-        a forward sets for its backward starts with an underscore. A backward
-        needs a new forward after this."""
-        for obj in (self, *self.blocks,
-                    *(layer for _, layer in self._named_layers())):
-            for name in [k for k in vars(obj) if k.startswith("_")]:
-                delattr(obj, name)
 
     # ------------------------------------------------------------------
 
@@ -305,9 +303,6 @@ class Model:
 
     def param_count(self):
         return sum(p.size for p in self.named_parameters().values())
-
-    def shift_call_sites(self):
-        return sum(1 for b in self.blocks if b.shift_cfg is not None)
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:

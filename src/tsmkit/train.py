@@ -29,15 +29,11 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     batch_size: int = 8
-    epochs_phase1: int = 100
-    epochs_phase2: int = 200
     seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.epochs_phase1 < 1 or self.epochs_phase2 < 1:
-            raise ValueError("epoch counts must be >= 1")
 
     def digest(self, epochs):
         blob = json.dumps({
@@ -172,6 +168,8 @@ def _lr_at(base_lr, epoch, total_epochs):
 def _run_training(model_cfg, train_cfg, train_records, root, epochs,
                   val_records=None, init_from=None, log_fn=None,
                   stop_at_top1=None):
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if init_from is not None:
         model, _, header = load_checkpoint(init_from)
         if header["model_config"] != model_cfg.to_dict():
@@ -230,14 +228,14 @@ def _run_training(model_cfg, train_cfg, train_records, root, epochs,
 
 
 def train_phase1(model_cfg, train_cfg, train_records, val_records, root,
-                 epochs=None, init_from=None, log_fn=None, stop_at_top1=None):
+                 epochs=100, init_from=None, log_fn=None, stop_at_top1=None):
     """Phase 1: train on the training split, validate every epoch."""
-    train_recs = _select_modality(train_records, _modality_for(model_cfg))
-    val_recs = _select_modality(val_records, _modality_for(model_cfg))
+    modality = datamod.modality_for(model_cfg.in_channels)
+    train_recs = _select_modality(train_records, modality)
+    val_recs = _select_modality(val_records, modality)
     overlap = {r["id"] for r in train_recs} & {r["id"] for r in val_recs}
     if overlap:
         raise ValueError(f"train/val manifests overlap: {sorted(overlap)[:5]}")
-    epochs = train_cfg.epochs_phase1 if epochs is None else epochs
     model, vel, log = _run_training(
         model_cfg, train_cfg, train_recs, root, epochs,
         val_records=val_recs, init_from=init_from, log_fn=log_fn,
@@ -245,19 +243,15 @@ def train_phase1(model_cfg, train_cfg, train_records, val_records, root,
     return model, vel, log
 
 
-def train_phase2(model_cfg, train_cfg, full_records, root, epochs=None,
+def train_phase2(model_cfg, train_cfg, full_records, root, epochs=200,
                  init_from=None, log_fn=None):
     """Phase 2: fresh initialization, train on everything, no validation."""
-    recs = _select_modality(full_records, _modality_for(model_cfg))
-    epochs = train_cfg.epochs_phase2 if epochs is None else epochs
+    recs = _select_modality(full_records,
+                            datamod.modality_for(model_cfg.in_channels))
     model, vel, log = _run_training(
         model_cfg, train_cfg, recs, root, epochs, init_from=init_from,
         log_fn=log_fn)
     return model, vel, log
-
-
-def _modality_for(model_cfg):
-    return "rgb" if model_cfg.in_channels == 3 else "ir"
 
 
 def predict_model(model, records, root, batch_size=8):
@@ -282,11 +276,4 @@ def predict_model(model, records, root, batch_size=8):
             [_load_frames(recs[i], root, t, "eval") for i in idx], axis=0)
         logits = model.forward(frames.astype(np.float32), train=False)
         probs_by_pos[idx] = ops.softmax(logits.astype(np.float64))
-    # a batch-50 forward of the large preset leaves ~400 MB on the model
-    model.drop_caches()
     return PredictionSet([r["id"] for r in recs], probs_by_pos)
-
-
-def predict(checkpoint_path, records, root, batch_size=8):
-    model, _, _ = load_checkpoint(checkpoint_path)
-    return predict_model(model, records, root, batch_size=batch_size)

@@ -184,6 +184,27 @@ class TestErrorPaths:
         assert len(err) == 1
         assert err[0].startswith("error:") and "truncated checkpoint" in err[0]
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"TSMV1" + b"\x02\x00", "truncated clip header"),
+        (b"TSMV1" + b"\xff\xff\xff\x7f" * 4 + b"\x00" * 64,
+         "truncated clip file"),
+    ])
+    def test_bad_clip(self, trained, tmp_path, capsys, blob, message):
+        # a manifest whose only val clip is cut inside its header or claims
+        # extents near 2**31
+        _, _, ckpt = trained
+        (tmp_path / "a_ir.tsmv").write_bytes(blob)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(
+            {"id": "a", "label": 0, "modality": "ir", "frames": 8,
+             "path": "a_ir.tsmv", "split": "val"}) + "\n")
+        rc = cli.main(["predict", "--ckpt", str(ckpt), "--data", str(manifest),
+                       "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {tmp_path / 'a_ir.tsmv'}: {message}")
+
     @pytest.mark.parametrize("lines, message", [
         (['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b"}'],
          ':2: a prediction row needs "id" and "probs"'),

@@ -1,6 +1,8 @@
 """Synthetic dataset: generation determinism, modality properties, splits,
 segment sampling, and the clip/manifest file formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,12 @@ class TestModalities:
     def test_channel_counts(self):
         assert data.MODALITIES["ir"][0] == 1
         assert data.MODALITIES["rgb"][0] == 3
+
+    def test_modality_for_channels(self):
+        for modality, (channels, _, _) in data.MODALITIES.items():
+            assert data.modality_for(channels) == modality
+        with pytest.raises(ValueError, match="2 channels"):
+            data.modality_for(2)
 
     def test_render_modality_shapes(self):
         clean = data.render_clean(2, 5, np.random.default_rng(0))
@@ -228,6 +236,22 @@ class TestClipFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            data.read_clip(path)
+
+    @pytest.mark.parametrize("cut", [0, 3, 5, 12, 20])
+    def test_cut_inside_header(self, tmp_path, cut):
+        path = tmp_path / "clip.tsmv"
+        data.write_clip(path, np.zeros((2, 1, 4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated clip header"):
+            data.read_clip(path)
+
+    def test_huge_extents(self, tmp_path):
+        # extents near 2**31 claim far more bytes than the file holds
+        path = tmp_path / "clip.tsmv"
+        path.write_bytes(data.CLIP_MAGIC + struct.pack("<4I", *[2**31 - 1] * 4)
+                         + b"\x00" * 64)
+        with pytest.raises(ValueError, match="truncated clip file"):
             data.read_clip(path)
 
 

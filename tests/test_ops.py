@@ -293,17 +293,20 @@ class TestCol2im:
         model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
                                         capacity=capacity), dtype=dtype)
         rng = np.random.default_rng(11)
-        model.forward(rng.normal(size=(64, in_ch, 32, 32)).astype(dtype))
+        # a training forward records each conv's input
+        model.forward(rng.normal(size=(64, in_ch, 32, 32)).astype(dtype),
+                      train=True)
         convs = [layer for _, layer in model._named_layers()
                  if isinstance(layer, Conv2d)]
         assert {(c.weight.shape[2], c.stride) for c in convs} == {
             (3, 1), (3, 2), (1, 2)}
         for c in convs:
+            x = c._cache[0]
             args = (c.stride, c.padding, c.groups)
-            out = ops.conv2d(c._x, c.weight, c.bias, *args)
+            out = ops.conv2d(x, c.weight, c.bias, *args)
             g = rng.normal(size=out.shape).astype(dtype)
-            gx, _, _ = ops.conv2d_backward(c._x, c.weight, g, *args)
-            want = scatter_grad_x(c._x, c.weight, g, *args)
+            gx, _, _ = ops.conv2d_backward(x, c.weight, g, *args)
+            want = scatter_grad_x(x, c.weight, g, *args)
             assert gx.dtype == want.dtype and gx.strides == want.strides
             np.testing.assert_array_equal(gx, want)
 

@@ -7,8 +7,8 @@ import pytest
 from tsmkit import data
 from tsmkit.model import ModelConfig, build_model
 from tsmkit.train import (PredictionSet, TrainConfig, load_checkpoint,
-                          predict, predict_model, save_checkpoint,
-                          train_phase1, train_phase2)
+                          predict_model, save_checkpoint, train_phase1,
+                          train_phase2)
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +42,17 @@ class TestTrainConfig:
     def test_zero_lr_allowed(self):
         assert TrainConfig(lr=0.0).lr == 0.0
 
-    def test_validation(self):
+    def test_validation(self, dataset):
         with pytest.raises(ValueError):
             TrainConfig(lr=-0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs_phase1=0)
+        root, records = dataset
+        train, val = data.split(records, 0.8, seed=0)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            train_phase1(micro_model_cfg(), micro_train_cfg(), train, val,
+                         root, epochs=0)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            train_phase2(micro_model_cfg(), micro_train_cfg(), records, root,
+                         epochs=0)
 
     def test_digest_depends_on_epochs_and_seed(self):
         cfg = TrainConfig()
@@ -153,7 +159,7 @@ class TestCheckpoint:
         assert rvel.keys() == vel.keys()
         recs = [r for r in records if r["modality"] == "ir"][:10]
         a = predict_model(model, recs, root)
-        b = predict(path, recs, root)
+        b = predict_model(restored, recs, root)
         assert a.ids == b.ids
         np.testing.assert_array_equal(a.probs, b.probs)
 
@@ -207,21 +213,40 @@ class TestPredict:
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_keeps_no_activations(self, dataset):
-        # the arrays a forward keeps for a backward are freed after predicting
+        # after predicting, the model holds its parameters, their gradients
+        # and the last input batch, and no activation
         root, records = dataset
         model = build_model(micro_model_cfg(), seed=0)
         recs = [r for r in records if r["modality"] == "ir"][:16]
         objs = [model, *model.blocks, *(l for _, l in model._named_layers())]
 
-        def held():
-            return sum(v.nbytes for o in objs for v in vars(o).values()
-                       if isinstance(v, np.ndarray))
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
 
-        params_and_grads = held()
-        model.forward(np.zeros((8, 1, 32, 32), np.float32))
-        assert held() > params_and_grads
+        def held():
+            return {id(a) for o in objs for v in vars(o).values()
+                    for a in arrays(v)}
+
+        inputs = []
+        forward = model.forward
+
+        def spy(frames, *args, **kwargs):
+            inputs.append(frames)
+            return forward(frames, *args, **kwargs)
+
+        model.forward = spy
+        kept = {id(a) for a in (*model.named_parameters().values(),
+                                *model.named_grads().values())}
+        assert held() == kept
+        model.forward(np.zeros((8, 1, 32, 32), np.float32), train=True)
+        assert len(held() - kept) > 1
         predict_model(model, recs, root)
-        assert held() == params_and_grads
+        assert len(inputs) == 3
+        assert held() == kept | {id(inputs[-1])}
 
     def test_untrained_model_near_uniform(self, dataset):
         # a freshly initialized 5-class model should put its top probability
