@@ -201,9 +201,13 @@ def read_clip(path):
         if magic != CLIP_MAGIC:
             raise ValueError(f"{path}: bad clip magic {magic!r}")
         t, c, h, w = struct.unpack("<4I", fh.read(16))
-        if size < head + 4 * t * c * h * w:
+        end = head + 4 * t * c * h * w
+        if size < end:
             raise ValueError(f"{path}: truncated clip file: {size} bytes for "
                              f"a {t}x{c}x{h}x{w} clip")
+        if size > end:
+            raise ValueError(f"{path}: {size - end} extra bytes past the end "
+                             f"of a {t}x{c}x{h}x{w} clip")
         data = np.frombuffer(fh.read(4 * t * c * h * w), dtype="<f4")
     return data.reshape(t, c, h, w)
 

@@ -117,10 +117,10 @@ def check_dropout(rng):
         x))
 
 
-def check_affine_norm(rng):
-    x = rng.normal(size=(3, 4, 5, 5))
-    scale = rng.normal(size=4)
-    shift = rng.normal(size=4)
+def _check_affine_norm(rng, x_shape):
+    x = rng.normal(size=x_shape)
+    scale = rng.normal(size=x_shape[1])
+    shift = rng.normal(size=x_shape[1])
     p = _proj(rng, x.shape)
     _, cache = ops.affine_norm(x, scale, shift)
     gx, gs, gb = ops.affine_norm_backward(cache, p)
@@ -132,6 +132,15 @@ def check_affine_norm(rng):
         max_rel_error(gb, numerical_gradient(
             lambda v: float((ops.affine_norm(x, scale, v)[0] * p).sum()), shift)),
     )
+
+
+def check_affine_norm(rng):
+    return _check_affine_norm(rng, (3, 4, 5, 5))
+
+
+def check_affine_norm_groups(rng):
+    # three groups, so a gradient leaking across groups shows
+    return _check_affine_norm(rng, (2, 12, 3, 5))
 
 
 def check_temporal_shift(rng):
@@ -155,6 +164,7 @@ CHECKS = {
     # last, so the checks above keep their seeds
     "conv2d_grouped_strided": check_conv2d_grouped_strided,
     "conv2d_odd": check_conv2d_odd,
+    "affine_norm_groups": check_affine_norm_groups,
 }
 
 

@@ -98,6 +98,7 @@ class Conv2d:
 
 class AffineNorm:
     def __init__(self, channels, dtype=np.float32, zero_scale=False):
+        ops.norm_groups(channels)  # whole groups only
         init = 0.0 if zero_scale else 1.0
         self.scale = np.full(channels, init, dtype=dtype)
         self.shift = np.zeros(channels, dtype=dtype)
@@ -222,7 +223,12 @@ class Model:
 
     def forward(self, frames, train=False, dropout_seed=0):
         """Frames [N*T, C, H, W] -> clip logits [N, num_classes]. A training
-        forward records what backward reads; an eval forward only its frames."""
+        forward records what backward reads; an eval forward only its frames.
+
+        An eval forward runs the network one clip of T frames at a time. The
+        norm is per frame and the shift stays inside a clip, so a clip's
+        logits depend on that clip alone, and every clip runs with the same
+        shapes: its logits are bit-identical at any batch size or order."""
         t = self.cfg.num_segments
         nt = frames.shape[0]
         if nt % t:
@@ -233,8 +239,13 @@ class Model:
                 f"{self.cfg.in_channels}"
             )
         self._frames = frames
-        rate = self.cfg.dropout_rate if train else 0.0
-        return self._run(frames, train, rate, dropout_seed)
+        if train:
+            return self._run(frames, True, self.cfg.dropout_rate, dropout_seed)
+        clips = [self._run(frames[i:i + t], False, 0.0, 0)
+                 for i in range(0, nt, t)]
+        if not clips:  # an empty batch has no clip logits
+            return np.empty((0, self.cfg.num_classes), self.dtype)
+        return np.concatenate(clips)
 
     def _run(self, frames, record, drop_rate, dropout_seed):
         x = frames.astype(self.dtype, copy=False)

@@ -284,44 +284,64 @@ def dropout_backward(mask, rate, grad_out):
     return grad_out * mask / (1.0 - rate)
 
 
-def affine_norm(x, scale, shift, eps=1e-5):
-    """Per-channel standardization over (batch, H, W) plus learnable affine.
+NORM_GROUP_SIZE = 4  # channels per GroupNorm group
 
-    Always uses the statistics of the batch at hand; there is no running
-    state, so evaluation batches are standardized by their own statistics.
-    Returns (out, cache).
+
+def norm_groups(channels):
+    """Number of GroupNorm groups of `channels`; a count that does not split
+    into whole groups raises ValueError."""
+    if channels % NORM_GROUP_SIZE:
+        raise ValueError(f"GroupNorm needs a channel count divisible by "
+                         f"{NORM_GROUP_SIZE}, got {channels}")
+    return channels // NORM_GROUP_SIZE
+
+
+def affine_norm(x, scale, shift, eps=1e-5):
+    """Per-frame GroupNorm (Wu & He, arXiv 1803.08494) plus a per-channel
+    affine: each frame is standardized by its own mean and variance over
+    every group of NORM_GROUP_SIZE channels and H x W.
+
+    No statistic crosses frames, so a frame's output does not depend on the
+    rest of the batch. Returns (out, cache).
     """
-    mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    d = x - mu
+    n, c = x.shape[:2]
+    xg = x.reshape(n, norm_groups(c), -1)
+    mu = xg.mean(axis=2, keepdims=True)
+    d = xg - mu
     out = d * d
-    var = out.mean(axis=(0, 2, 3), keepdims=True)  # np.var, bit for bit
+    var = out.mean(axis=2, keepdims=True)  # np.var, bit for bit
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = np.multiply(d, inv_std, out=d)  # in place: d is not kept alive
+    # in place: d is not kept alive
+    xhat = np.multiply(d, inv_std, out=d).reshape(x.shape)
     # scale * xhat + shift, written into the d * d buffer
-    np.multiply(scale[None, :, None, None], xhat, out=out)
+    out = np.multiply(scale[None, :, None, None], xhat, out=out.reshape(x.shape))
     out += shift[None, :, None, None]
     return out, (xhat, inv_std, scale)
 
 
 def affine_norm_backward(cache, grad_out):
     xhat, inv_std, scale = cache
-    n, _, h, w = grad_out.shape
-    m = n * h * w
+    n, groups = inv_std.shape[:2]
     tmp = grad_out * xhat
     grad_scale = tmp.sum(axis=(0, 2, 3))
     grad_shift = grad_out.sum(axis=(0, 2, 3))
-    grad_x = grad_out * scale[None, :, None, None]  # gxhat, until scaled below
-    # standard batch-statistics backward (mean and var depend on x):
+    # gxhat, until scaled below
+    gx = (grad_out * scale[None, :, None, None]).reshape(n, groups, -1)
+    xg = xhat.reshape(n, groups, -1)
+    tmp = tmp.reshape(n, groups, -1)
+    m = gx.shape[2]
+    # standard normalization backward over each (frame, group), whose mean
+    # and var depend on x:
     # (inv_std / m) * (m * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat)),
     # each step in place on one of two buffers
-    s1 = grad_x.sum(axis=(0, 2, 3), keepdims=True)
-    s2 = np.multiply(grad_x, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
-    np.multiply(xhat, s2, out=tmp)
-    np.multiply(m, grad_x, out=grad_x)
-    grad_x -= s1
-    grad_x -= tmp
-    grad_x *= inv_std / m
-    return grad_x, grad_scale, grad_shift
+    s1 = gx.sum(axis=2, keepdims=True)
+    s2 = np.multiply(gx, xg, out=tmp).sum(axis=2, keepdims=True)
+    np.multiply(xg, s2, out=tmp)
+    np.multiply(m, gx, out=gx)
+    gx -= s1
+    gx -= tmp
+    gx *= inv_std / m
+    return gx.reshape(xhat.shape), grad_scale, grad_shift
 
 
 # ---------------------------------------------------------------------------

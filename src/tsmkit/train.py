@@ -20,7 +20,9 @@ from .ensemble import PredictionSet, topk_accuracy
 from .model import Model, ModelConfig, build_model
 
 CKPT_MAGIC = b"TSMCKPT1"
-CKPT_VERSION = 1
+# Version 2: the norm is per-frame GroupNorm. A version-1 file holds the same
+# tensors for a batch-statistics norm, a different function.
+CKPT_VERSION = 2
 
 
 @dataclass
@@ -264,16 +266,12 @@ def predict_model(model, records, root, batch_size=8):
             raise ValueError(
                 f"modality {rec['modality']!r} has {channels} channels but the "
                 f"checkpointed model expects {cfg.in_channels}")
-    # Deterministic interleave so evaluation batches mix classes; the
-    # normalizer standardizes each batch by its own statistics, and a
-    # single-class batch would wash out exactly the class signal.
-    order = np.random.default_rng(0x5eed).permutation(len(recs))
     t = cfg.num_segments
-    probs_by_pos = np.empty((len(recs), cfg.num_classes))
-    for b0 in range(0, len(order), batch_size):
-        idx = order[b0:b0 + batch_size]
+    probs = np.empty((len(recs), cfg.num_classes))
+    for b0 in range(0, len(recs), batch_size):
         frames = np.concatenate(
-            [_load_frames(recs[i], root, t, "eval") for i in idx], axis=0)
-        logits = model.forward(frames.astype(np.float32), train=False)
-        probs_by_pos[idx] = ops.softmax(logits.astype(np.float64))
-    return PredictionSet([r["id"] for r in recs], probs_by_pos)
+            [_load_frames(rec, root, t, "eval")
+             for rec in recs[b0:b0 + batch_size]], axis=0)
+        logits = model.forward(frames, train=False)
+        probs[b0:b0 + batch_size] = ops.softmax(logits.astype(np.float64))
+    return PredictionSet([r["id"] for r in recs], probs)

@@ -1,12 +1,14 @@
 """End-to-end CLI pipeline on a tiny dataset plus error-path behavior."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from tsmkit import cli
-from tsmkit.train import PredictionSet
+from tsmkit.model import ModelConfig, build_model
+from tsmkit.train import PredictionSet, TrainConfig, save_checkpoint
 
 
 def strip_seconds(csv_text):
@@ -184,14 +186,31 @@ class TestErrorPaths:
         assert len(err) == 1
         assert err[0].startswith("error:") and "truncated checkpoint" in err[0]
 
+    def test_old_checkpoint_version(self, tiny_dataset, tmp_path, capsys):
+        # version 1 meant a batch-statistics norm over the same tensors
+        cfg = ModelConfig(num_classes=2, capacity="micro")
+        ckpt = tmp_path / "v1.ckpt"
+        save_checkpoint(ckpt, build_model(cfg), {}, 0, TrainConfig(), 1)
+        blob = bytearray(ckpt.read_bytes())
+        blob[8:12] = struct.pack("<I", 1)  # the version field, after the magic
+        ckpt.write_bytes(bytes(blob))
+        rc = cli.main(["predict", "--ckpt", str(ckpt), "--data",
+                       str(tiny_dataset / "manifest.jsonl"),
+                       "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {ckpt}: unsupported checkpoint version 1"]
+
     @pytest.mark.parametrize("blob, message", [
         (b"TSMV1" + b"\x02\x00", "truncated clip header"),
         (b"TSMV1" + b"\xff\xff\xff\x7f" * 4 + b"\x00" * 64,
          "truncated clip file"),
+        (b"TSMV1" + b"\x01\x00\x00\x00" * 4 + b"\x00" * 8,
+         "4 extra bytes past the end of a 1x1x1x1 clip"),
     ])
     def test_bad_clip(self, trained, tmp_path, capsys, blob, message):
-        # a manifest whose only val clip is cut inside its header or claims
-        # extents near 2**31
+        # a manifest whose only val clip is cut inside its header, claims
+        # extents near 2**31 or runs past its frames
         _, _, ckpt = trained
         (tmp_path / "a_ir.tsmv").write_bytes(blob)
         manifest = tmp_path / "manifest.jsonl"

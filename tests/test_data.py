@@ -238,6 +238,20 @@ class TestClipFormat:
         with pytest.raises(ValueError, match="truncated"):
             data.read_clip(path)
 
+    def test_longer_than_header(self, tmp_path):
+        path = tmp_path / "clip.tsmv"
+        data.write_clip(path, np.zeros((2, 1, 4, 4), dtype=np.float32))
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\x00" * 22)  # appended junk
+        with pytest.raises(ValueError, match=r"clip.tsmv: 22 extra bytes "
+                           r"past the end of a 2x1x4x4 clip$"):
+            data.read_clip(path)
+        # a corrupted extent that claims one frame of the two
+        path.write_bytes(data.CLIP_MAGIC + struct.pack("<4I", 1, 1, 4, 4)
+                         + blob[len(data.CLIP_MAGIC) + 16:])
+        with pytest.raises(ValueError, match="64 extra bytes"):
+            data.read_clip(path)
+
     @pytest.mark.parametrize("cut", [0, 3, 5, 12, 20])
     def test_cut_inside_header(self, tmp_path, cut):
         path = tmp_path / "clip.tsmv"

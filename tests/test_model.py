@@ -117,9 +117,9 @@ class TestForward:
                                    atol=1e-10)
 
     def test_shift_sensitive_to_segment_order(self):
-        # Batch of two clips: with a single clip the branch's batch-statistics
-        # norm makes the branch's consensus contribution a constant, hiding
-        # the shift; with N >= 2 the reversal must show up in the logits.
+        # Batch of two clips: reversing the first clip's segments changes
+        # which frame the shift hands each shifted channel, so the reversal
+        # must show up in that clip's logits.
         t = 4
         cfg = micro_config(num_segments=t, shift_enabled=True,
                            dropout_rate=0.0)
@@ -156,6 +156,11 @@ class TestForward:
         m = build_model(micro_config(), seed=0)
         with pytest.raises(ValueError, match="channels"):
             m.forward(np.zeros((3, 5, 8, 8)))
+
+    def test_empty_batch_gives_no_logits(self):
+        m = build_model(micro_config(), seed=0)
+        logits = m.forward(np.zeros((0, 2, 8, 8), np.float32), train=False)
+        assert logits.shape == (0, 3) and logits.dtype == np.float32
 
     def test_leading_extent_error(self):
         m = build_model(micro_config(num_segments=4), seed=0)

@@ -8,7 +8,7 @@ import pytest
 
 from tsmkit import ops
 from tsmkit.gradcheck import max_rel_error, numerical_gradient, run_all
-from tsmkit.model import Conv2d, ModelConfig, build_model
+from tsmkit.model import AffineNorm, Conv2d, ModelConfig, build_model
 
 
 def naive_conv2d(x, weight, bias, stride=1, padding=0):
@@ -48,29 +48,32 @@ def window_im2col(x, kh, kw, stride, padding, groups):
 
 def formula_affine_norm(x, scale, shift, eps=1e-5):
     """affine_norm as plain expressions, one new array per step: the oracle
-    for its in-place forward."""
-    mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    d = x - mu
-    var = (d * d).mean(axis=(0, 2, 3), keepdims=True)
+    for its in-place forward. Statistics per (frame, 4-channel group)."""
+    n, c = x.shape[:2]
+    xg = x.reshape(n, c // 4, -1)
+    mu = xg.mean(axis=2, keepdims=True)
+    d = xg - mu
+    var = (d * d).mean(axis=2, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv_std
+    xhat = (d * inv_std).reshape(x.shape)
     out = scale[None, :, None, None] * xhat + shift[None, :, None, None]
     return out, (xhat, inv_std, scale)
 
 
 def formula_affine_norm_backward(cache, grad_out):
     xhat, inv_std, scale = cache
-    n, _, h, w = grad_out.shape
-    m = n * h * w
+    n, groups = inv_std.shape[:2]
     grad_scale = (grad_out * xhat).sum(axis=(0, 2, 3))
     grad_shift = grad_out.sum(axis=(0, 2, 3))
-    gxhat = grad_out * scale[None, :, None, None]
+    gxhat = (grad_out * scale[None, :, None, None]).reshape(n, groups, -1)
+    xg = xhat.reshape(n, groups, -1)
+    m = xg.shape[2]
     grad_x = (inv_std / m) * (
         m * gxhat
-        - gxhat.sum(axis=(0, 2, 3), keepdims=True)
-        - xhat * (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        - gxhat.sum(axis=2, keepdims=True)
+        - xg * (gxhat * xg).sum(axis=2, keepdims=True)
     )
-    return grad_x, grad_scale, grad_shift
+    return grad_x.reshape(xhat.shape), grad_scale, grad_shift
 
 
 def scatter_grad_x(x, weight, grad_out, stride, padding, groups):
@@ -387,28 +390,48 @@ class TestDropout:
 
 
 class TestAffineNorm:
-    def test_standardizes_per_channel(self):
+    def test_standardizes_per_frame_group(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(loc=3.0, scale=2.0, size=(8, 4, 5, 5))
-        out, _ = ops.affine_norm(x, np.ones(4), np.zeros(4))
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=(0, 2, 3)), 1.0, atol=1e-3)
+        x = rng.normal(loc=3.0, scale=2.0, size=(8, 12, 5, 5))
+        # groups of unequal scale, so per-channel statistics would not do
+        x *= np.repeat([1.0, 5.0, 0.2], 4)[None, :, None, None]
+        out, _ = ops.affine_norm(x, np.ones(12), np.zeros(12))
+        groups = out.reshape(8, 3, -1)  # (frame, group, 4 channels x H x W)
+        np.testing.assert_allclose(groups.mean(axis=2), 0.0, atol=1e-10)
+        np.testing.assert_allclose(groups.std(axis=2), 1.0, atol=1e-3)
+
+    def test_frame_independent_of_batch(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 8, 4, 4)).astype(np.float32)
+        scale = rng.normal(size=8).astype(np.float32)
+        shift = rng.normal(size=8).astype(np.float32)
+        out, _ = ops.affine_norm(x, scale, shift)
+        for i in range(6):
+            alone, _ = ops.affine_norm(x[i:i + 1], scale, shift)
+            np.testing.assert_array_equal(alone[0], out[i])
 
     def test_scale_shift_applied(self):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(4, 2, 3, 3))
-        out, _ = ops.affine_norm(x, np.array([2.0, 0.0]), np.array([1.0, -1.0]))
-        base, _ = ops.affine_norm(x, np.ones(2), np.zeros(2))
+        x = rng.normal(size=(4, 4, 3, 3))
+        scale, shift = np.array([2.0, 0.0, 1.0, 1.0]), np.array([1.0, -1.0, 0, 0])
+        out, _ = ops.affine_norm(x, scale, shift)
+        base, _ = ops.affine_norm(x, np.ones(4), np.zeros(4))
         np.testing.assert_allclose(out[:, 0], 2 * base[:, 0] + 1, atol=1e-12)
         np.testing.assert_allclose(out[:, 1], -1.0, atol=1e-12)
+        np.testing.assert_array_equal(out[:, 2:], base[:, 2:])
 
+    def test_partial_group_rejected(self):
+        with pytest.raises(ValueError, match="divisible by 4, got 6"):
+            ops.affine_norm(np.zeros((2, 6, 3, 3)), np.ones(6), np.zeros(6))
+        with pytest.raises(ValueError, match="divisible by 4, got 6"):
+            AffineNorm(6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_steps_equal_formulas(self, dtype):
         rng = np.random.default_rng(14)
-        x = rng.normal(loc=1.0, scale=3.0, size=(6, 5, 7, 9)).astype(dtype)
-        scale = rng.normal(size=5).astype(dtype)
-        shift = rng.normal(size=5).astype(dtype)
+        x = rng.normal(loc=1.0, scale=3.0, size=(6, 12, 7, 9)).astype(dtype)
+        scale = rng.normal(size=12).astype(dtype)
+        shift = rng.normal(size=12).astype(dtype)
         out, cache = ops.affine_norm(x, scale, shift)
         want, want_cache = formula_affine_norm(x, scale, shift)
         assert out.dtype == want.dtype
@@ -416,7 +439,7 @@ class TestAffineNorm:
         for a, b in zip(cache, want_cache):
             np.testing.assert_array_equal(a, b)
         # a contiguous upstream gradient and a strided view of a larger one
-        g = rng.normal(size=(6, 5, 9, 11)).astype(dtype)
+        g = rng.normal(size=(6, 12, 9, 11)).astype(dtype)
         for grad_out in (np.ascontiguousarray(g[:, :, 1:8, 1:10]),
                          g[:, :, 1:8, 1:10]):
             got = ops.affine_norm_backward(cache, grad_out)

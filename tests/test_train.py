@@ -212,6 +212,26 @@ class TestPredict:
         b = predict_model(model, recs, root)
         np.testing.assert_array_equal(a.probs, b.probs)
 
+    @pytest.mark.parametrize("capacity, modality",
+                             [("small", "ir"), ("large", "rgb")])
+    def test_clip_probs_independent_of_batch(self, dataset, capacity,
+                                             modality):
+        # a clip's probabilities depend on that clip alone, bit for bit
+        root, records = dataset
+        cfg = ModelConfig(num_classes=5, capacity=capacity,
+                          in_channels=data.MODALITIES[modality][0])
+        model = build_model(cfg, seed=0)
+        for blk in model.blocks:  # residual branches that reach the logits
+            blk.norm2.scale[:] = 1.0
+        recs = [r for r in records if r["modality"] == modality][:12]
+        want = predict_model(model, recs, root, batch_size=1).probs
+        for batch_size in (8, len(recs)):
+            got = predict_model(model, recs, root, batch_size=batch_size)
+            np.testing.assert_array_equal(got.probs, want)
+        rev = predict_model(model, recs[::-1], root, batch_size=8)
+        assert rev.ids == [r["id"] for r in recs[::-1]]
+        np.testing.assert_array_equal(rev.probs, want[::-1])
+
     def test_keeps_no_activations(self, dataset):
         # after predicting, the model holds its parameters, their gradients
         # and the last input batch, and no activation
