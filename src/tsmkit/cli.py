@@ -146,8 +146,6 @@ def cmd_ensemble(args):
         raise ValueError("ensemble needs either --weights or --search")
     combined = ensmod.ensemble(list(zip(members, weights)))
     combined.save(args.out)
-    if args.spec_out:
-        ensmod.save_spec(args.spec_out, args.preds, weights)
     _write_config(str(args.out) + ".config.json", args, "ensemble")
     print(f"wrote ensemble predictions to {args.out}")
     return 0
@@ -171,11 +169,11 @@ def cmd_report(args):
         name, path = item.split("=", 1)
         rows.append((name, PredictionSet.load(path)))
     labels = _labels_by_id(_records_for_split(Path(args.data), args.split))
-    rep, text = ensmod.report(rows, labels)
+    scores, text = ensmod.report(rows, labels)
     print(text)
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(ensmod.report_csv(rep))
+            fh.write(ensmod.report_csv(scores))
     return 0
 
 
@@ -260,7 +258,6 @@ def build_parser():
     e.add_argument("--data", default=None, help="manifest for --search labels")
     e.add_argument("--split", default="val")
     e.add_argument("--out", required=True)
-    e.add_argument("--spec-out", default=None)
     e.set_defaults(func=cmd_ensemble)
 
     ev = sub.add_parser("eval", help="top-1/top-5 of one prediction file")

@@ -56,11 +56,6 @@ class PredictionSet:
         return cls(ids, np.asarray(rows, dtype=np.float64))
 
 
-@dataclass
-class MetricReport:
-    rows: list  # (name, top1, top5)
-
-
 def _check_members(members):
     if not members:
         raise ValueError("ensemble needs at least one member")
@@ -180,7 +175,8 @@ def search_weights(members, labels_by_id, step=0.05):
 
 
 def report(rows, labels_by_id):
-    """rows: list of (name, PredictionSet). Returns (MetricReport, text)."""
+    """rows: list of (name, PredictionSet). Returns ([(name, top1, top5)],
+    text)."""
     if not rows:
         raise ValueError("report needs at least one (name, predictions) row")
     out = []
@@ -188,35 +184,17 @@ def report(rows, labels_by_id):
         k5 = min(5, preds.probs.shape[1])
         out.append((name, topk_accuracy(preds, labels_by_id, 1),
                     topk_accuracy(preds, labels_by_id, k5)))
-    rep = MetricReport(out)
     width = max(len("Method"), max(len(n) for n, _, _ in out))
     lines = [f"{'Method':<{width}}  {'Top-1':>6}  {'Top-5':>6}"]
     lines.append("-" * (width + 16))
     for name, t1, t5 in out:
         lines.append(f"{name:<{width}}  {t1:.4f}  {t5:.4f}")
-    return rep, "\n".join(lines)
+    return out, "\n".join(lines)
 
 
-def report_csv(rep):
+def report_csv(rows):
+    """rows: [(name, top1, top5)], as report returns them."""
     lines = ["method,top1,top5"]
-    for name, t1, t5 in rep.rows:
+    for name, t1, t5 in rows:
         lines.append(f"{name},{t1:.4f},{t5:.4f}")
     return "\n".join(lines) + "\n"
-
-
-# EnsembleSpec file: {"members": [{"path": ..., "weight": ...}, ...]}
-
-
-def save_spec(path, member_paths, weights):
-    with open(path, "w") as fh:
-        json.dump({"members": [
-            {"path": str(p), "weight": float(w)}
-            for p, w in zip(member_paths, weights)
-        ]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_spec(path):
-    with open(path) as fh:
-        spec = json.load(fh)
-    return [(m["path"], m["weight"]) for m in spec["members"]]

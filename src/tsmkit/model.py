@@ -6,7 +6,7 @@ blocks optionally apply the temporal shift to their branch input. Per-frame
 logits are averaged over the clip's segments before softmax.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,15 +43,7 @@ class ModelConfig:
             raise ValueError(f"unknown capacity {self.capacity!r}")
 
     def to_dict(self):
-        return {
-            "num_classes": self.num_classes,
-            "in_channels": self.in_channels,
-            "num_segments": self.num_segments,
-            "capacity": self.capacity,
-            "dropout_rate": self.dropout_rate,
-            "shift_enabled": self.shift_enabled,
-            "fold_div": self.fold_div,
-        }
+        return asdict(self)
 
 
 def _he_init(rng, shape, fan_in, dtype):
@@ -69,15 +61,9 @@ class Conv2d:
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, train=True):
-        # Recording keeps the input and its whole im2col buffer for backward;
-        # otherwise the columns are built a tile of frames at a time.
-        if not train:
-            self._cache = None
-            return ops.conv2d(x, self.weight, self.bias, self.stride,
-                              self.padding, self.groups)
         out, cols = ops.conv2d(x, self.weight, self.bias, self.stride,
-                               self.padding, self.groups, return_cols=True)
-        self._cache = x, cols
+                               self.padding, self.groups)
+        self._cache = (x, cols) if train else None
         return out
 
     def backward(self, g):

@@ -76,24 +76,12 @@ def _im2col(x, kh, kw, stride, padding, groups):
     return cols.reshape(groups, -1, n * oh * ow)
 
 
-# Without return_cols, conv2d builds its im2col columns a tile of frames at
-# a time, each tile's columns fitting in this many bytes, and keeps none.
-# 4 MiB is the total L2 of the 2-core reference machine; tiles of 4 to
-# 16 MiB ran equally fast there and 64 MiB lost the gain. Each output element
-# is the same dot product either way, but BLAS picks its kernels by matrix
-# size, so a tile can round the last bit differently from the whole-batch
-# GEMM. On the reference machine's OpenBLAS some shapes do, but no layer of
-# either preset on 32x32 frames.
-_TILE_BYTES = 4 << 20
-
-
-def conv2d(x, weight, bias, stride=1, padding=0, groups=1, return_cols=False):
+def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
     """Cross-correlation of x [N,C_in,H,W] with weight [C_out,C_in/groups,kH,kW].
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
-    With return_cols the im2col buffer [groups, C_in/groups*kH*kW, N*H'*W']
-    is returned alongside the output for reuse in conv2d_backward. Without
-    it, the columns are built a tile of frames at a time and none is kept.
+    Returns (out, cols): cols is the im2col buffer
+    [groups, C_in/groups*kH*kW, N*H'*W'], for reuse in conv2d_backward.
     """
     x = _as_float(x)
     weight = _as_float(weight)
@@ -121,19 +109,12 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1, return_cols=False):
         dtype = np.result_type(dtype, bias)
     out = np.empty((n, cout, oh, ow), dtype=dtype)
     out_g = out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
-    tile = n
-    if not return_cols:
-        frame_bytes = cin * kh * kw * oh * ow * x.dtype.itemsize
-        tile = max(1, _TILE_BYTES // frame_bytes)
-    for n0 in range(0, n, tile):
-        cols = _im2col(x[n0:n0 + tile], kh, kw, stride, padding, groups)
-        res = np.matmul(kmat, cols)  # [G, cog, frames*H'*W']
-        out_g[:, :, n0:n0 + tile] = res.reshape(groups, cog, -1, oh, ow)
+    cols = _im2col(x, kh, kw, stride, padding, groups)
+    res = np.matmul(kmat, cols)  # [G, cog, N*H'*W']
+    out_g[...] = res.reshape(groups, cog, n, oh, ow)
     if bias is not None:
         out += bias
-    if return_cols:
-        return out, cols
-    return out
+    return out, cols
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
@@ -267,11 +248,11 @@ def softmax_cross_entropy_backward(probs, labels):
     return g / n
 
 
-def dropout(x, rate, seed, train=True):
-    """Inverted dropout; identity when train is False. Returns (out, mask)."""
+def dropout(x, rate, seed):
+    """Inverted dropout; identity at rate 0. Returns (out, mask)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x, None
     rng = np.random.default_rng(seed)
     mask = (rng.random(x.shape) >= rate).astype(x.dtype)

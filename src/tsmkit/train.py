@@ -9,7 +9,7 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,8 @@ class TrainConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
 
     def digest(self, epochs):
-        blob = json.dumps({
-            "lr": self.lr, "momentum": self.momentum,
-            "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-            "epochs": epochs, "seed": self.seed,
-        }, sort_keys=True).encode()
+        blob = json.dumps(asdict(self) | {"epochs": epochs},
+                          sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -111,21 +111,27 @@ class TestEnsembleCli:
         out = PredictionSet.load(combined)
         np.testing.assert_allclose(out.probs, base.probs, atol=1e-9)
 
-    def test_search_writes_spec(self, trained, tmp_path):
+    def test_search_prints_best_weights(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"
         cli.main(["predict", "--ckpt", str(ckpt), "--data",
                   str(ds / "manifest.jsonl"), "--out", str(preds)])
-        spec = tmp_path / "spec.json"
+        capsys.readouterr()
+        combined = tmp_path / "ens.jsonl"
         rc = cli.main(["ensemble", "--preds", str(preds), str(preds),
                        "--search", "--step", "0.5",
                        "--data", str(ds / "manifest.jsonl"),
-                       "--out", str(tmp_path / "ens.jsonl"),
-                       "--spec-out", str(spec)])
+                       "--out", str(combined)])
         assert rc == 0
-        members = json.loads(spec.read_text())["members"]
-        assert len(members) == 2
-        assert sum(m["weight"] for m in members) == pytest.approx(1.0)
+        best = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("best weights [")]
+        assert len(best) == 1
+        line = best[0]
+        weights = json.loads(line[line.index("["):line.index("]") + 1])
+        assert len(weights) == 2
+        assert sum(weights) == pytest.approx(1.0)
+        out = PredictionSet.load(combined)
+        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_requires_weights_or_search(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from tsmkit import ensemble as ensmod
-from tsmkit.ensemble import (MetricReport, _simplex_grid, ensemble, load_spec,
-                             report, report_csv, save_spec, search_weights,
-                             topk_accuracy)
+from tsmkit.ensemble import (_simplex_grid, ensemble, report, report_csv,
+                             search_weights, topk_accuracy)
 from tsmkit.train import PredictionSet
 
 
@@ -263,8 +262,8 @@ class TestReport:
     def test_formatting(self):
         preds = pset(np.eye(3), ids=["a", "b", "c"])
         labels = {"a": 0, "b": 1, "c": 2}
-        rep, text = report([("perfect", preds)], labels)
-        assert rep.rows == [("perfect", 1.0, 1.0)]
+        rows, text = report([("perfect", preds)], labels)
+        assert rows == [("perfect", 1.0, 1.0)]
         lines = text.splitlines()
         assert "Method" in lines[0] and "Top-1" in lines[0]
         assert "1.0000" in lines[-1]
@@ -273,22 +272,16 @@ class TestReport:
         rng = np.random.default_rng(13)
         preds = random_pset(rng, 100, 8)
         labels = {f"v{i}": int(rng.integers(0, 8)) for i in range(100)}
-        rep, _ = report([("random", preds)], labels)
-        _, t1, t5 = rep.rows[0]
+        rows, _ = report([("random", preds)], labels)
+        _, t1, t5 = rows[0]
         assert t1 <= t5
 
     def test_csv(self):
-        rep = MetricReport([("a", 0.5, 0.75), ("b", 1.0, 1.0)])
-        assert report_csv(rep) == ("method,top1,top5\n"
-                                   "a,0.5000,0.7500\n"
-                                   "b,1.0000,1.0000\n")
+        rows = [("a", 0.5, 0.75), ("b", 1.0, 1.0)]
+        assert report_csv(rows) == ("method,top1,top5\n"
+                                    "a,0.5000,0.7500\n"
+                                    "b,1.0000,1.0000\n")
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
             report([], {})
-
-
-def test_spec_round_trip(tmp_path):
-    path = tmp_path / "ensemble.json"
-    save_spec(path, ["a.jsonl", "b.jsonl"], [0.35, 0.65])
-    assert load_spec(path) == [("a.jsonl", 0.35), ("b.jsonl", 0.65)]

@@ -225,8 +225,8 @@ class TestEndToEndGradient:
 
 
 class TestEvalForwardCaches:
-    """An eval forward keeps nothing for a backward and tiles its convs over
-    frames; a backward after it replays the forward, recording."""
+    """An eval forward keeps nothing for a backward and gives a recording
+    forward's logits; a backward after it replays the forward, recording."""
 
     @staticmethod
     def small(dropout_rate=0.5):
@@ -251,7 +251,7 @@ class TestEvalForwardCaches:
             assert obj._cache is None, obj
 
     def test_backward_after_eval_matches_training(self):
-        # at 64 frames the eval forward runs the stage-0 convs in 3 tiles
+        # eight clips: the eval forward runs them one at a time
         frames, labels = self.frames(64), np.arange(8) % 5
         grads = []
         for train in (True, False):
@@ -266,6 +266,21 @@ class TestEvalForwardCaches:
         np.testing.assert_array_equal(gxa, gxb)
         for name in ga:
             np.testing.assert_array_equal(ga[name], gb[name], err_msg=name)
+
+    @pytest.mark.parametrize("t", [8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_eval_logits_equal_recording(self, capacity, in_ch, dtype, t):
+        cfg = ModelConfig(num_classes=5, in_channels=in_ch, num_segments=t,
+                          capacity=capacity, dropout_rate=0.0)
+        m = build_model(cfg, seed=4, dtype=dtype)
+        # non-zero branches, so every conv reaches the logits
+        for blk in m.blocks:
+            blk.norm2.scale[:] = 0.5
+        rng = np.random.default_rng(t)
+        clip = rng.random((t, in_ch, RESOLUTION, RESOLUTION)).astype(dtype)
+        np.testing.assert_array_equal(m.forward(clip, train=False),
+                                      m.forward(clip, train=True))
 
     def test_eval_forward_peak_memory(self):
         frames = self.frames(64)
