@@ -2,6 +2,7 @@
 search on the simplex, top-k accuracy, and leaderboard-style reporting."""
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,11 +134,11 @@ def _simplex_grid(n, step):
         yield tuple(c / units for c in combo)
 
 
-# search_weights scores this many bytes of fused float64 rows at a time, and
-# then as many of int64 class ranks: 65 grid points of 100 videos x 20
-# classes, of the 1771 at step 0.05. On the 2-core reference machine that
-# search took 0.14-0.17 s with chunks of 256 KiB to 1 MiB, and 0.21 s and
-# 16 MB more peak memory with 4 MiB ones.
+# search_weights fuses this many bytes of float64 rows at a time and counts
+# the label ranks over them in one-byte boolean passes: 65 grid points of
+# 100 videos x 20 classes, of the 1771 at step 0.05. On the 2-core reference
+# machine that search took 0.11-0.13 s with chunks of 256 KiB and 1 MiB, and
+# 0.15 s with 4 MiB ones.
 _SEARCH_CHUNK_BYTES = 1 << 20
 
 
@@ -148,24 +149,38 @@ def search_weights(members, labels_by_id, step=0.05):
     Returns (weights tuple, top1, top5).
 
     The fused rows of a chunk of grid points are made at once, as
-    ensemble() makes them, and ranked with the stable sort of topk_accuracy.
+    ensemble() makes them. The label's rank in a row is the count of
+    classes above it plus the equal ones of lower index: its place in the
+    stable sort of topk_accuracy, which puts NaN last. A NaN at the label
+    (a NaN member row, or weighted member rows summing to 0) would rank
+    first by that count and last by the sort, so it is rejected.
     """
     if not 2 <= len(members) <= 4:
         raise ValueError(f"search supports 2..4 members, got {len(members)}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive number, got {step}")
     _check_members([(m, 1.0) for m in members])
     labels = _label_array(members[0].ids, labels_by_id)
     n, k = members[0].probs.shape
     k5 = min(5, k)
     grid = list(_simplex_grid(len(members), step))  # lexicographic order
     weights = np.array(grid)
+    below = np.arange(k) < labels[:, None]  # [N, K]: classes before the label
     chunk = max(1, _SEARCH_CHUNK_BYTES // (n * k * 8))
     best = None  # (score, grid index, top-1 hits, top-5 hits)
     for g0 in range(0, len(grid), chunk):
         total = _fuse([m.probs for m in members], weights[g0:g0 + chunk])
-        ranked = np.argsort(-total, axis=2, kind="stable")[:, :, :k5]
-        hits = ranked == labels[:, None]
-        top1 = hits[:, :, 0].sum(axis=1)
-        top5 = hits.any(axis=2).sum(axis=1)
+        at_label = total[:, np.arange(n), labels, None]  # [G, N, 1]
+        nan = np.isnan(at_label[:, :, 0])
+        if nan.any():
+            g, v = np.argwhere(nan)[0]
+            raise ValueError(
+                f"fused probability of video {members[0].ids[v]!r} is NaN at "
+                f"weights {grid[g0 + g]}")
+        rank = (total > at_label).sum(axis=2)
+        rank += ((total == at_label) & below).sum(axis=2)
+        top1 = (rank == 0).sum(axis=1)
+        top5 = (rank < k5).sum(axis=1)
         score = top1 * (n + 1) + top5  # orders by top-1, then top-5
         g = int(np.argmax(score))  # the first maximum: the smallest weights
         if best is None or score[g] > best[0]:

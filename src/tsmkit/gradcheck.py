@@ -69,7 +69,7 @@ def check_conv2d_odd(rng):
 def check_relu(rng):
     x = rng.normal(size=(4, 5)) + 0.1  # stay away from the kink
     p = _proj(rng, x.shape)
-    g = ops.relu_backward(x, p)
+    g = ops.relu_backward(x > 0, p)
     return max_rel_error(g, numerical_gradient(
         lambda v: float((ops.relu(v) * p).sum()), x))
 

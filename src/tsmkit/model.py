@@ -63,14 +63,18 @@ class Conv2d:
     def forward(self, x, train=True):
         out, cols = ops.conv2d(x, self.weight, self.bias, self.stride,
                                self.padding, self.groups)
-        self._cache = (x, cols) if train else None
+        # given the columns, the backward reads x for its shape and dtype
+        # only: keep a zero-strided stand-in, not the activation
+        self._cache = (np.broadcast_to(x.dtype.type(0), x.shape), cols) \
+            if train else None
         return out
 
-    def backward(self, g):
+    def backward(self, g, need_grad_x=True):
         x, cols = self._cache
         gx, gw, gb = ops.conv2d_backward(x, self.weight, g, self.stride,
                                          self.padding, self.groups,
-                                         cols_cache=cols)
+                                         cols_cache=cols,
+                                         need_grad_x=need_grad_x)
         self.gweight += gw
         self.gbias += gb
         return gx
@@ -156,7 +160,7 @@ class ResidualBlock:
     def forward(self, x, train=True):
         branch = temporal_shift(x, self.shift_cfg) if self.shift_cfg else x
         branch = self.norm1.forward(self.conv1.forward(branch, train), train)
-        self._cache = branch if train else None  # pre-ReLU
+        self._cache = branch > 0 if train else None  # the ReLU's mask
         branch = ops.relu(branch)
         branch = self.norm2.forward(self.conv2.forward(branch, train), train)
         identity = self.proj.forward(x, train) if self.proj else x
@@ -235,23 +239,26 @@ class Model:
 
     def _run(self, frames, record, drop_rate, dropout_seed):
         x = frames.astype(self.dtype, copy=False)
-        stem = self.stem_norm.forward(self.stem_conv.forward(x, record), record)
-        x = ops.relu(stem)
+        x = self.stem_norm.forward(self.stem_conv.forward(x, record), record)
+        relu_mask = x > 0 if record else None
+        x = ops.relu(x)
         for block in self.blocks:
             x = block.forward(x, record)
         dropped, mask = ops.dropout(ops.global_avg_pool(x), drop_rate,
                                     dropout_seed)
-        self._cache = (stem, x.shape, mask, drop_rate) if record else None
+        self._cache = (relu_mask, x.shape, mask, drop_rate) if record else None
         logits = self.head.forward(dropped, record)
         return logits.reshape(-1, self.cfg.num_segments, logits.shape[1]).mean(axis=1)
 
-    def backward(self, grad_logits):
-        """Accumulates parameter gradients from d(loss)/d(clip logits). After
-        an eval forward it first replays that forward, recording, without
-        dropout: a second forward buys an eval that keeps nothing."""
+    def backward(self, grad_logits, need_grad_x=False):
+        """Accumulates parameter gradients from d(loss)/d(clip logits) and
+        returns the gradient w.r.t. the input frames if need_grad_x, else
+        None. After an eval forward it first replays that forward,
+        recording, without dropout: a second forward buys an eval that
+        keeps nothing."""
         if self._cache is None:
             self._run(self._frames, True, 0.0, 0)
-        stem, pool_shape, mask, drop_rate = self._cache
+        relu_mask, pool_shape, mask, drop_rate = self._cache
         t = self.cfg.num_segments
         n, k = grad_logits.shape
         g = np.broadcast_to(grad_logits[:, None, :], (n, t, k)).reshape(n * t, k) / t
@@ -260,9 +267,9 @@ class Model:
         g = ops.global_avg_pool_backward(pool_shape, g)
         for block in reversed(self.blocks):
             g = block.backward(g)
-        g = ops.relu_backward(stem, g)
+        g = ops.relu_backward(relu_mask, g)
         g = self.stem_norm.backward(g)
-        return self.stem_conv.backward(g)
+        return self.stem_conv.backward(g, need_grad_x)
 
     # ------------------------------------------------------------------
 

@@ -118,17 +118,19 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
-                    cols_cache=None):
+                    cols_cache=None, need_grad_x=True):
     """Gradients of conv2d w.r.t. (input, weight, bias).
 
     cols_cache lets a caller reuse the im2col buffer from the forward pass;
-    results are identical either way.
+    results are identical either way, and with it x is read only for its
+    shape and dtype. need_grad_x=False skips the input gradient and returns
+    None in its place.
     """
     x = _as_float(x)
     weight = _as_float(weight)
     grad_out = _as_float(grad_out)
     n, cin, h, w = x.shape
-    cout, _, kh, kw = weight.shape
+    cout, cin_g, kh, kw = weight.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if grad_out.shape != (n, cout, oh, ow):
@@ -147,13 +149,18 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     grad_w = np.empty_like(weight)
     np.matmul(gmat, cols_cache.transpose(0, 2, 1),
               out=grad_w.reshape(groups, cog, -1))
+    if not need_grad_x:
+        return None, grad_w, grad_bias
     # col2im, the adjoint of _im2col, through stride-phase planes. Padded
     # row y = i + stride*oy belongs to phase i % stride, at plane row
     # i//stride + oy, and likewise for columns. Laying the upstream gradient
     # out with hq x wq pixels per frame, zeros outside [:oh, :ow], makes each
     # kernel position one contiguous add of C_in rows into its phase plane
     # at offset (i//stride)*wq + j//stride; the padded columns add exact
-    # zeros, so every element sums the same terms in the same order.
+    # zeros, so every element sums the same terms in the same order. One
+    # GEMM per kernel row makes the columns of its kW positions, which are
+    # added before the next row's GEMM, so only kW of the kH*kW column
+    # blocks exist at a time.
     hq = oh + (kh - 1) // stride
     wq = ow + (kw - 1) // stride
     size = n * hq * wq
@@ -161,18 +168,19 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     if (hq, wq) != (oh, ow):
         gpad = np.zeros((cout, n, hq, wq), dtype=gmat.dtype)
         gpad[:, :, :oh, :ow] = gmat.reshape(cout, n, oh, ow)
-    kmat = weight.reshape(groups, cog, -1)
-    gcols = np.matmul(kmat.transpose(0, 2, 1), gpad.reshape(groups, cog, size))
-    gcols = gcols.reshape(cin, kh, kw, size)
+    gpad = gpad.reshape(groups, cog, size)
+    krows = weight.reshape(groups, cog, cin_g, kh, kw)
     tail = (kh - 1) // stride * wq + (kw - 1) // stride
     planes = {}
     for i in range(kh):
+        kmat = np.ascontiguousarray(krows[:, :, :, i]).reshape(groups, cog, -1)
+        gcols = np.matmul(kmat.transpose(0, 2, 1), gpad).reshape(cin, kw, size)
         for j in range(kw):
             phase = (i % stride, j % stride)
             if phase not in planes:
                 planes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
             off = i // stride * wq + j // stride
-            planes[phase][:, off:off + size] += gcols[:, i, j]
+            planes[phase][:, off:off + size] += gcols[:, j]
     gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     # a plane row or column past the padded input holds only padding zeros
     for (pi, pj), plane in planes.items():
@@ -192,8 +200,9 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x, grad_out):
-    return grad_out * (x > 0)
+def relu_backward(mask, grad_out):
+    """mask is relu's input > 0, all the backward reads of it."""
+    return grad_out * mask
 
 
 def linear(x, weight, bias):

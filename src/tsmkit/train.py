@@ -191,8 +191,7 @@ def _run_training(model_cfg, train_cfg, train_records, root, epochs,
             stacks, labels = [], []
             for rec in batch:
                 fr = _load_frames(rec, root, t, "train", rng)
-                fr = _augment(fr, rec["label"], rng)
-                stacks.append(fr.astype(np.float32))
+                stacks.append(_augment(fr, rec["label"], rng))  # float32 already
                 labels.append(rec["label"])
             frames = np.concatenate(stacks, axis=0)
             labels = np.asarray(labels)

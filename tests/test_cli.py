@@ -280,6 +280,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {manifest}{message}"]
 
+    @pytest.mark.parametrize("step", ["0", "-0.05", "nan", "inf"])
+    def test_bad_search_step(self, trained, tmp_path, capsys, step):
+        ds, _, ckpt = trained
+        preds = tmp_path / "p.jsonl"
+        cli.main(["predict", "--ckpt", str(ckpt), "--data",
+                  str(ds / "manifest.jsonl"), "--out", str(preds)])
+        capsys.readouterr()
+        rc = cli.main(["ensemble", "--preds", str(preds), str(preds),
+                       "--search", "--step", step,
+                       "--data", str(ds / "manifest.jsonl"),
+                       "--out", str(tmp_path / "e.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: step must be a positive number, got "
+                       f"{float(step)}"]
+
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -240,6 +240,23 @@ class TestSearchWeights:
             assert got == want
             assert all(type(v) is float for v in (*got[0], *got[1:]))
 
+    def test_nan_at_label_rejected(self):
+        # counting would rank a NaN label first, the stable sort last
+        rng = np.random.default_rng(14)
+        labels = self._labeled(rng, n=6, k=3)
+        a, b = random_pset(rng, 6, 3), random_pset(rng, 6, 3)
+        b.probs[2] = np.nan
+        with pytest.raises(ValueError, match="video 'v2' is NaN at weights "
+                                             r"\(0.0, 1.0\)"):
+            search_weights([a, b], labels, step=0.5)
+        # a zero row is NaN once fused alone
+        b.probs[2] = 0.0
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"video 'v2' is NaN at weights \(0.0, 1.0\)"):
+            search_weights([a, b], labels, step=0.5)
+        b.probs[2] = a.probs[2]
+        search_weights([a, b], labels, step=0.5)
+
     def test_grid_covers_weights_summing_to_one(self):
         rng = np.random.default_rng(11)
         labels = self._labeled(rng, n=8, k=3)

@@ -10,7 +10,8 @@ import pytest
 from tsmkit import ops
 from tsmkit.data import RESOLUTION
 from tsmkit.gradcheck import max_rel_error
-from tsmkit.model import CAPACITY_PRESETS, Conv2d, ModelConfig, build_model
+from tsmkit.model import (CAPACITY_PRESETS, AffineNorm, Conv2d, ModelConfig,
+                          build_model)
 
 
 def micro_config(**overrides):
@@ -216,7 +217,8 @@ class TestEndToEndGradient:
         labels = np.array([1])
         m.zero_grads()
         probs = ops.softmax(m.forward(frames, train=False))
-        gframes = m.backward(ops.softmax_cross_entropy_backward(probs, labels))
+        gframes = m.backward(ops.softmax_cross_entropy_backward(probs, labels),
+                             need_grad_x=True)
         from tsmkit.gradcheck import numerical_gradient
         num = numerical_gradient(
             lambda v: ops.cross_entropy(
@@ -259,7 +261,8 @@ class TestEvalForwardCaches:
             m.zero_grads()
             logits = m.forward(frames, train=train, dropout_seed=1)
             probs = ops.softmax(logits)
-            gx = m.backward(ops.softmax_cross_entropy_backward(probs, labels))
+            gx = m.backward(ops.softmax_cross_entropy_backward(probs, labels),
+                            need_grad_x=True)
             grads.append((logits, gx, m.named_grads()))
         (la, gxa, ga), (lb, gxb, gb) = grads
         np.testing.assert_array_equal(la, lb)
@@ -294,6 +297,94 @@ class TestEvalForwardCaches:
             finally:
                 tracemalloc.stop()
         assert peaks[False] < peaks[True] / 3, peaks
+
+
+def _flat_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _flat_arrays(item)
+
+
+class TestTrainingForwardCaches:
+    """A training forward keeps only what its backward reads: each conv's
+    columns and a shape stand-in for its input, the norm caches, the ReLU
+    masks, the dropout mask and the head's input."""
+
+    @staticmethod
+    def record(capacity, in_ch, n=16, dtype=np.float32):
+        cfg = ModelConfig(num_classes=5, in_channels=in_ch, capacity=capacity)
+        m = build_model(cfg, seed=3, dtype=dtype)
+        rng = np.random.default_rng(n)
+        frames = rng.random((n, in_ch, RESOLUTION, RESOLUTION)).astype(dtype)
+        return m, frames
+
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_conv_caches_hold_no_activation(self, capacity, in_ch,
+                                            monkeypatch):
+        m, frames = self.record(capacity, in_ch)
+        activations = [frames]
+        for cls in (Conv2d, AffineNorm):
+            def traced(layer, x, train=True, _forward=cls.forward):
+                out = _forward(layer, x, train)
+                activations.extend((x, out))
+                return out
+            monkeypatch.setattr(cls, "forward", traced)
+        m.forward(frames, train=True, dropout_seed=1)
+        convs = [layer for _, layer in m._named_layers()
+                 if isinstance(layer, Conv2d)]
+        for conv in convs:
+            stand_in, cols = conv._cache
+            assert stand_in.strides == (0,) * stand_in.ndim
+            for a in activations:
+                assert not np.shares_memory(stand_in, a)
+                assert not np.shares_memory(cols, a)
+
+    def test_masks_are_bool(self):
+        m, frames = self.record("small", 1)
+        m.forward(frames, train=True, dropout_seed=1)
+        relu_masks = [m._cache[0]] + [blk._cache for blk in m.blocks]
+        for mask in relu_masks:
+            assert mask.dtype == np.bool_
+        assert m._cache[0].shape == (16, 16, 16, 16)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_cached_bytes_from_shapes(self, capacity, in_ch, dtype):
+        n = 16
+        m, frames = self.record(capacity, in_ch, n, dtype)
+        m.forward(frames, train=True, dropout_seed=1)
+        item = np.dtype(dtype).itemsize
+
+        def conv(layer, c, h, w):  # (column bytes, output c, h, w)
+            cout, _, k, _ = layer.weight.shape
+            oh = (h + 2 * layer.padding - k) // layer.stride + 1
+            ow = (w + 2 * layer.padding - k) // layer.stride + 1
+            return c * k * k * n * oh * ow * item, cout, oh, ow
+
+        def norm(c, h, w):  # xhat and 1/std per (frame, group)
+            return n * c * h * w * item + n * (c // 4) * item
+
+        want, c, h, w = conv(m.stem_conv, in_ch, RESOLUTION, RESOLUTION)
+        want += norm(c, h, w) + n * c * h * w  # and a bool ReLU mask
+        for blk in m.blocks:
+            cols, c1, h1, w1 = conv(blk.conv1, c, h, w)
+            want += cols + norm(c1, h1, w1) + n * c1 * h1 * w1
+            want += conv(blk.conv2, c1, h1, w1)[0] + norm(c1, h1, w1)
+            if blk.proj:
+                want += conv(blk.proj, c, h, w)[0]
+            c, h, w = c1, h1, w1
+        want += 2 * n * c * item  # dropout mask and the head's input
+
+        params = [id(p) for p in m.named_parameters().values()]
+        held = 0
+        for obj in (m, *m.blocks, *(layer for _, layer in m._named_layers())):
+            for a in _flat_arrays(obj._cache):
+                if id(a) in params or a.strides == (0,) * a.ndim:
+                    continue  # a norm's scale, a conv's shape stand-in
+                held += a.nbytes
+        assert held == want
 
 
 def test_presets_sane():

@@ -98,6 +98,46 @@ def scatter_grad_x(x, weight, grad_out, stride, padding, groups):
     return gx_pad[:, :, padding:padding + h, padding:padding + w]
 
 
+def single_gemm_grad_x(x, weight, grad_out, stride, padding, groups):
+    """Input gradient of conv2d through stride-phase planes, with the
+    columns of every kernel position from one GEMM: the oracle for the
+    per-kernel-row GEMMs of conv2d_backward, which must match it bit for
+    bit."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    _, _, oh, ow = grad_out.shape
+    cog = cout // groups
+    gmat = np.ascontiguousarray(
+        grad_out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
+    ).reshape(groups, cog, n * oh * ow)
+    hq = oh + (kh - 1) // stride
+    wq = ow + (kw - 1) // stride
+    size = n * hq * wq
+    gpad = gmat
+    if (hq, wq) != (oh, ow):
+        gpad = np.zeros((cout, n, hq, wq), dtype=gmat.dtype)
+        gpad[:, :, :oh, :ow] = gmat.reshape(cout, n, oh, ow)
+    kmat = weight.reshape(groups, cog, -1)
+    gcols = np.matmul(kmat.transpose(0, 2, 1), gpad.reshape(groups, cog, size))
+    gcols = gcols.reshape(cin, kh, kw, size)
+    tail = (kh - 1) // stride * wq + (kw - 1) // stride
+    planes = {}
+    for i in range(kh):
+        for j in range(kw):
+            phase = (i % stride, j % stride)
+            if phase not in planes:
+                planes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
+            off = i // stride * wq + j // stride
+            planes[phase][:, off:off + size] += gcols[:, i, j]
+    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), x.dtype)
+    for (pi, pj), plane in planes.items():
+        dst = gx_pad[:, :, pi::stride, pj::stride]
+        rows, cols = min(hq, dst.shape[2]), min(wq, dst.shape[3])
+        src = plane[:, :size].reshape(cin, n, hq, wq)[:, :, :rows, :cols]
+        dst[:, :, :rows, :cols] = src.transpose(1, 0, 2, 3)
+    return gx_pad[:, :, padding:padding + h, padding:padding + w]
+
+
 class TestConv2d:
     def test_all_ones_sums_kernel(self):
         x = np.ones((1, 1, 3, 3))
@@ -271,7 +311,8 @@ class TestCol2im:
         model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
                                         capacity=capacity), dtype=dtype)
         rng = np.random.default_rng(11)
-        # a training forward records each conv's input
+        # a training forward keeps each conv's input shape; grad_x does not
+        # depend on the input's values
         model.forward(rng.normal(size=(64, in_ch, 32, 32)).astype(dtype),
                       train=True)
         convs = [layer for _, layer in model._named_layers()
@@ -307,6 +348,38 @@ class TestCol2im:
         np.testing.assert_allclose(gx, want, rtol=16 * eps,
                                    atol=16 * eps * np.abs(want).max())
         np.testing.assert_array_equal(gx == 0, want == 0)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("k,stride,padding", [
+        (5, 3, 0), (5, 3, 2), (1, 2, 0), (2, 3, 1), (3, 2, 0), (4, 2, 1),
+    ])
+    def test_row_gemms_equal_single_gemm(self, k, stride, padding, groups,
+                                         dtype):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
+        w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
+        out, cols = ops.conv2d(x, w, None, stride, padding, groups)
+        g = rng.normal(size=out.shape).astype(dtype)
+        gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups,
+                                       cols_cache=cols)
+        want = single_gemm_grad_x(x, w, g, stride, padding, groups)
+        assert gx.dtype == want.dtype
+        np.testing.assert_array_equal(gx, want)
+
+    def test_skipped_input_gradient(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 4, 6, 6))
+        w = rng.normal(size=(4, 2, 3, 3))
+        out, cols = ops.conv2d(x, w, None, 2, 1, 2)
+        g = rng.normal(size=out.shape)
+        gx, gw, gb = ops.conv2d_backward(x, w, g, 2, 1, 2, cols_cache=cols,
+                                         need_grad_x=False)
+        _, want_w, want_b = ops.conv2d_backward(x, w, g, 2, 1, 2)
+        assert gx is None
+        np.testing.assert_array_equal(gw, want_w)
+        np.testing.assert_array_equal(gb, want_b)
 
 
 class TestSoftmaxCrossEntropy:
