@@ -46,6 +46,9 @@ class PredictionSet:
                 if not all(0 <= p <= 1 for p in row):  # False for NaN too
                     raise ValueError(
                         f"{path}:{lineno}: a probability outside [0, 1]")
+                if not any(row):
+                    raise ValueError(
+                        f"{path}:{lineno}: a row with no probability mass")
                 if rows and len(row) != len(rows[0]):
                     raise ValueError(
                         f"{path}:{lineno}: {len(row)} probabilities, but the "
@@ -79,18 +82,30 @@ def ensemble(members):
         raise ValueError(f"weights must be nonnegative, got {weights}")
     if weights.sum() == 0:
         raise ValueError("at least one ensemble weight must be positive")
-    total = _fuse([preds.probs for preds, _ in members], weights[None])
-    return PredictionSet(list(members[0][0].ids), total[0])
+    ids = list(members[0][0].ids)
+    total = _fuse([preds.probs for preds, _ in members], weights[None], ids)
+    return PredictionSet(ids, total[0])
 
 
-def _fuse(probs, weights):
+def _fuse(probs, weights, ids):
     """Fused rows [G, N, K] of the member rows probs (M arrays [N, K]) under
     each of the weight vectors weights [G, M]: the members scaled and added
-    in order, then every row renormalized to sum 1."""
+    in order, then every row renormalized to sum 1.
+
+    A weighted row whose sum is not a positive number (all zeros, or a NaN
+    in a member row) would renormalize to NaN; it is rejected, naming the
+    video of ids and the weights."""
     total = np.zeros((len(weights),) + probs[0].shape, dtype=probs[0].dtype)
     for i, p in enumerate(probs):
         total += weights[:, i, None, None] * p
-    total /= total.sum(axis=2, keepdims=True)
+    sums = total.sum(axis=2, keepdims=True)
+    bad = np.argwhere(~(np.isfinite(sums[:, :, 0]) & (sums[:, :, 0] > 0)))
+    if len(bad):
+        g, v = bad[0]
+        raise ValueError(
+            f"fused probability of video {ids[v]!r} is NaN at weights "
+            f"{tuple(weights[g].tolist())}")
+    total /= sums
     return total
 
 
@@ -153,7 +168,7 @@ def search_weights(members, labels_by_id, step=0.05):
     classes above it plus the equal ones of lower index: its place in the
     stable sort of topk_accuracy, which puts NaN last. A NaN at the label
     (a NaN member row, or weighted member rows summing to 0) would rank
-    first by that count and last by the sort, so it is rejected.
+    first by that count and last by the sort; _fuse rejects such rows.
     """
     if not 2 <= len(members) <= 4:
         raise ValueError(f"search supports 2..4 members, got {len(members)}")
@@ -169,14 +184,9 @@ def search_weights(members, labels_by_id, step=0.05):
     chunk = max(1, _SEARCH_CHUNK_BYTES // (n * k * 8))
     best = None  # (score, grid index, top-1 hits, top-5 hits)
     for g0 in range(0, len(grid), chunk):
-        total = _fuse([m.probs for m in members], weights[g0:g0 + chunk])
+        total = _fuse([m.probs for m in members], weights[g0:g0 + chunk],
+                      members[0].ids)
         at_label = total[:, np.arange(n), labels, None]  # [G, N, 1]
-        nan = np.isnan(at_label[:, :, 0])
-        if nan.any():
-            g, v = np.argwhere(nan)[0]
-            raise ValueError(
-                f"fused probability of video {members[0].ids[v]!r} is NaN at "
-                f"weights {grid[g0 + g]}")
         rank = (total > at_label).sum(axis=2)
         rank += ((total == at_label) & below).sum(axis=2)
         top1 = (rank == 0).sum(axis=1)

@@ -61,12 +61,15 @@ class Conv2d:
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, train=True):
-        out, cols = ops.conv2d(x, self.weight, self.bias, self.stride,
-                               self.padding, self.groups)
-        # given the columns, the backward reads x for its shape and dtype
-        # only: keep a zero-strided stand-in, not the activation
-        self._cache = (np.broadcast_to(x.dtype.type(0), x.shape), cols) \
-            if train else None
+        out, planes = ops.conv2d(x, self.weight, self.bias, self.stride,
+                                 self.padding, self.groups)
+        self._cache = None  # frees the last step's columns before the fill
+        if train:
+            cols = ops.fill_columns(planes, out.shape, self.weight.shape[2],
+                                    self.stride, self.groups)
+            # given the columns, the backward reads x for its shape and
+            # dtype only: keep a zero-strided stand-in, not the activation
+            self._cache = (np.broadcast_to(x.dtype.type(0), x.shape), cols)
         return out
 
     def backward(self, g, need_grad_x=True):

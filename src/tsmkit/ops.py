@@ -28,60 +28,90 @@ def _valid_range(offset, padding, stride, size, count):
     return lo, hi
 
 
-def _im2col(x, kh, kw, stride, padding, groups):
-    """Patches of x as one [G, C/G*kh*kw, N*H'*W'] array: rows run over
-    (channel, ky, kx) and columns over (n, y', x').
+def _frame_rows(h, kh, stride, padding):
+    """Rows per frame hq of the row-phase planes, H' <= hq <= H' +
+    (kh-1)//stride. A frame keeps the rows of phase 0 up to its first
+    bottom-padding row, padded row h + padding. Every row a kernel row reads
+    past those, for an output row that is kept, is bottom padding, and lands
+    on the next frame's top padding rows (or the zero tail): zeros either
+    way. So a 3x3 stride-1 conv with padding 1 keeps H' + 1 rows, not
+    H' + 2."""
+    oh = (h + 2 * padding - kh) // stride + 1
+    return min(oh + (kh - 1) // stride, max(oh, -(-(h + padding) // stride)))
 
-    Built through row-phase planes, without padding x. Kernel row i reads
-    padded rows i + stride*y', which are rows i//stride + y' of the plane of
-    row phase a = i % stride, the plane of padded rows a + stride*q. For
-    each phase and kernel column j, one strided copy from x fills a plane
-    [C, N, hq, W'] of padded columns j + stride*x', zero where it reaches
-    into the padding, with hq = H' + (kh-1-a)//stride rows. Each kernel row
-    of the phase is then one copy of H'*W' contiguous floats per (channel,
-    frame), from plane row i//stride. The columns are bit for bit those of
-    a gather from a sliding-window view of the zero-padded input.
+
+def _row_planes(x, kh, kw, stride, padding):
+    """Row-phase planes of x: [S, C, kW, N*hq*W' + tail], S = min(stride, kh).
+
+    Kernel row i reads padded rows i + stride*y', which are rows
+    i//stride + y' of the plane of row phase a = i % stride, the plane of
+    padded rows a + stride*q. For each phase and kernel column j, one
+    strided copy from x fills planes[a, :, j], laid out [C, N, hq, W'] with
+    hq = _frame_rows(...) rows per frame, of padded columns j + stride*x',
+    and zeros where it reaches into the padding or past the padded input.
+    Kernel row i is then the [C, kW, N*hq*W'] window at offset
+    (i//stride)*W' of its phase: the first H' rows of each of its frames
+    are the kernel row's im2col columns. The tail, (kh-1)//stride rows of
+    zeros, holds the last frame's window.
     """
     n, c, h, w = x.shape
     s = stride
     oh = (h + 2 * padding - kh) // s + 1
     ow = (w + 2 * padding - kw) // s + 1
-    cols = np.empty((c, kh, kw, n, oh * ow), dtype=x.dtype)
+    hq = _frame_rows(h, kh, s, padding)
+    size = n * hq * ow
+    planes = np.zeros((min(s, kh), c, kw, size + (kh - 1) // s * ow), x.dtype)
     xt = x.transpose(1, 0, 2, 3)
-    for a in range(min(s, kh)):
-        hq = oh + (kh - 1 - a) // s
+    for a in range(len(planes)):
         q0, q1 = _valid_range(a, padding, s, h, hq)
         for j in range(kw):
             x0, x1 = _valid_range(j, padding, s, w, ow)
-            if hq == oh:  # the phase's only kernel row: fill its columns
-                plane = cols[:, a, j].reshape(c, n, oh, ow)
-                plane[:, :, :q0] = 0
-                plane[:, :, q1:] = 0
-                plane[:, :, q0:q1, :x0] = 0
-                plane[:, :, q0:q1, x1:] = 0
-            elif padding:  # one zeroing pass costs less than its border
-                plane = np.zeros((c, n, hq, ow), x.dtype)
-            else:  # without padding every plane element comes from x
-                plane = np.empty((c, n, hq, ow), x.dtype)
             if q1 > q0 and x1 > x0:
+                plane = planes[a, :, j, :size].reshape(c, n, hq, ow)
                 r0, c0 = a + s * q0 - padding, j + s * x0 - padding
                 plane[:, :, q0:q1, x0:x1] = xt[
                     :, :, r0:r0 + s * (q1 - q0 - 1) + 1:s,
                     c0:c0 + s * (x1 - x0 - 1) + 1:s]
-            if hq != oh:
-                flat = plane.reshape(c, n, hq * ow)
-                for i in range(a, kh, s):
-                    off = i // s * ow
-                    cols[:, i, j] = flat[:, :, off:off + oh * ow]
+    return planes
+
+
+def fill_columns(planes, out_shape, kh, stride, groups):
+    """The im2col columns [G, C/G*kh*kw, N*H'*W'] of a conv of output shape
+    out_shape [N, C_out, H', W'] from its _row_planes: rows run over
+    (channel, ky, kx) and columns over (n, y', x'). Each kernel row is one
+    copy of H'*W' contiguous floats per (channel, kernel column, frame).
+    The columns are bit for bit those of a gather from a sliding-window
+    view of the zero-padded input."""
+    n, _, oh, ow = out_shape
+    _, c, kw, width = planes.shape
+    hq = (width // ow - (kh - 1) // stride) // n  # width: N*hq*W' + tail
+    cols = np.empty((c, kh, kw, n, oh * ow), planes.dtype)
+    for i in range(kh):
+        off = i // stride * ow
+        rows = planes[i % stride, :, :, off:off + n * hq * ow]
+        cols[:, i] = rows.reshape(c, kw, n, hq * ow)[..., :oh * ow]
     return cols.reshape(groups, -1, n * oh * ow)
+
+
+def _im2col(x, kh, kw, stride, padding, groups):
+    """Patches of x as one [G, C/G*kh*kw, N*H'*W'] array (fill_columns)."""
+    n, _, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    return fill_columns(_row_planes(x, kh, kw, stride, padding),
+                        (n, None, oh, ow), kh, stride, groups)
 
 
 def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
     """Cross-correlation of x [N,C_in,H,W] with weight [C_out,C_in/groups,kH,kW].
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
-    Returns (out, cols): cols is the im2col buffer
-    [groups, C_in/groups*kH*kW, N*H'*W'], for reuse in conv2d_backward.
+    Returns (out, planes): planes are x's _row_planes, from which
+    fill_columns builds the im2col columns that conv2d_backward takes as
+    cols_cache. The output is kH GEMMs batched over groups, one per kernel
+    row, each over its window of the planes (as in MEC; Cho & Brand, arXiv
+    1706.06873), summed in kernel-row order. Each frame's hq - H' extra
+    output rows read across into the next frame and are dropped.
     """
     x = _as_float(x)
     weight = _as_float(weight)
@@ -102,19 +132,35 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
     cog = cout // groups
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    kmat = weight.reshape(groups, cog, -1)
-    dtype = np.result_type(kmat, x)  # the dtype np.matmul(kmat, cols) gives
+    hq = _frame_rows(h, kh, stride, padding)
+    size = n * hq * ow
+    planes = _row_planes(x, kh, kw, stride, padding)
+    # [kH, G, cog, C_in/G*kW]: the weights of each kernel row
+    krows = np.ascontiguousarray(
+        weight.reshape(groups, cog, cin_g, kh, kw).transpose(3, 0, 1, 2, 4)
+    ).reshape(kh, groups, cog, cin_g * kw)
+    res = part = None
+    for i in range(kh):
+        off = i // stride * ow
+        rows = planes[i % stride, :, :, off:off + size].reshape(
+            groups, cin_g * kw, size)
+        if res is None:
+            res = np.matmul(krows[i], rows)  # [G, cog, N*hq*W']
+        else:
+            part = np.matmul(krows[i], rows, out=part)
+            res += part
+    res = res.reshape(groups, cog, n, hq, ow)[:, :, :, :oh]
+    dtype = res.dtype
     if bias is not None:
-        bias = np.asarray(bias)[None, :, None, None]
+        bias = np.asarray(bias).reshape(groups, cog, 1, 1, 1)
         dtype = np.result_type(dtype, bias)
     out = np.empty((n, cout, oh, ow), dtype=dtype)
     out_g = out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
-    cols = _im2col(x, kh, kw, stride, padding, groups)
-    res = np.matmul(kmat, cols)  # [G, cog, N*H'*W']
-    out_g[...] = res.reshape(groups, cog, n, oh, ow)
-    if bias is not None:
-        out += bias
-    return out, cols
+    if bias is None:
+        out_g[...] = res
+    else:  # one transposed pass writes the sum plus the bias
+        np.add(res, bias, out=out_g)
+    return out, planes
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,

@@ -133,6 +133,28 @@ class TestEnsembleCli:
         out = PredictionSet.load(combined)
         np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_zero_weighted_row_is_one_error_line(self, trained, tmp_path,
+                                                 capsys):
+        ds, _, ckpt = trained
+        preds = tmp_path / "p.jsonl"
+        cli.main(["predict", "--ckpt", str(ckpt), "--data",
+                  str(ds / "manifest.jsonl"), "--out", str(preds)])
+        base = PredictionSet.load(preds)
+        # the smallest subnormal loads, and half of it rounds to 0
+        tiny = np.zeros_like(base.probs)
+        tiny[:, 0] = 5e-324
+        other = tmp_path / "tiny.jsonl"
+        PredictionSet(base.ids, tiny).save(other)
+        capsys.readouterr()
+        rc = cli.main(["ensemble", "--preds", str(other), str(preds),
+                       "--weights", "0.5,0", "--out",
+                       str(tmp_path / "e.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: fused probability of video {base.ids[0]!r} "
+                       f"is NaN at weights (0.5, 0.0)"]
+        assert not (tmp_path / "e.jsonl").exists()
+
     def test_requires_weights_or_search(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"
@@ -246,6 +268,9 @@ class TestErrorPaths:
         (['{"id": "a", "probs": ["x", 0.5]}'],
          ':1: "probs" must hold only numbers'),
         (['{"id": "a", "probs": [0.5, 0.5]'], ":1: not a JSON row"),
+        (['{"id": "a", "probs": [0.5, 0.5]}',
+          '{"id": "b", "probs": [0, 0.0]}'],
+         ":2: a row with no probability mass"),
     ])
     def test_bad_prediction_file(self, tiny_dataset, tmp_path, capsys, lines,
                                  message):

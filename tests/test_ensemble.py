@@ -112,6 +112,18 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="positive"):
             ensemble([(a, 0.0), (a, 0.0)])
 
+    def test_zero_weighted_row_rejected(self):
+        # 0/0 would renormalize the row to NaN, which save() writes and
+        # load() rejects
+        rng = np.random.default_rng(15)
+        a, b = random_pset(rng, 4, 3), random_pset(rng, 4, 3)
+        a.probs[1] = 0.0
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"'v1' is NaN at weights \(1.0, 0.0\)"):
+            ensemble([(a, 1.0), (b, 0.0)])
+        out = ensemble([(a, 1.0), (b, 0.5)])
+        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
+
 
 class TestTopkAccuracy:
     def test_hand_built_example(self):

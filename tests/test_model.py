@@ -299,6 +299,28 @@ class TestEvalForwardCaches:
         assert peaks[False] < peaks[True] / 3, peaks
 
 
+class TestEvalBuildsNoColumns:
+    """An eval forward runs each conv's kernel-row GEMMs over its row-phase
+    planes and never fills the im2col column matrix."""
+
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_eval_forward_never_fills_columns(self, capacity, in_ch,
+                                              monkeypatch):
+        cfg = ModelConfig(num_classes=5, in_channels=in_ch, capacity=capacity)
+        m = build_model(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        frames = rng.random((16, in_ch, RESOLUTION, RESOLUTION),
+                            dtype=np.float32)
+
+        def no_fill(*args, **kwargs):
+            raise AssertionError("an eval forward filled im2col columns")
+        monkeypatch.setattr(ops, "fill_columns", no_fill)
+        logits = m.forward(frames, train=False)
+        assert logits.shape == (2, 5) and np.isfinite(logits).all()
+        with pytest.raises(AssertionError, match="filled im2col columns"):
+            m.forward(frames, train=True)
+
+
 def _flat_arrays(obj):
     if isinstance(obj, np.ndarray):
         yield obj

@@ -46,6 +46,17 @@ def window_im2col(x, kh, kw, stride, padding, groups):
     return cols.reshape(groups, -1, n * oh * ow)
 
 
+def single_gemm_conv2d(x, weight, stride, padding, groups):
+    """conv2d as one GEMM of the weights over the whole column matrix: the
+    oracle for the per-kernel-row GEMMs of conv2d."""
+    n = x.shape[0]
+    cout = weight.shape[0]
+    cols = window_im2col(x, *weight.shape[2:], stride, padding, groups)
+    res = np.matmul(weight.reshape(groups, cout // groups, -1), cols)
+    oh = (x.shape[2] + 2 * padding - weight.shape[2]) // stride + 1
+    return res.reshape(cout, n, oh, -1).transpose(1, 0, 2, 3)
+
+
 def formula_affine_norm(x, scale, shift, eps=1e-5):
     """affine_norm as plain expressions, one new array per step: the oracle
     for its in-place forward. Statistics per (frame, 4-channel group)."""
@@ -248,6 +259,56 @@ class TestIm2col:
                                               np.signbit(want))
 
 
+class TestRowGemms:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_equals_single_gemm(self, groups, dtype):
+        rng = np.random.default_rng(15)
+        kernels = [(k, k) for k in range(1, 6)] + [(1, 3), (3, 1), (2, 5),
+                                                   (5, 2), (4, 3)]
+        eps = np.finfo(dtype).eps
+        for h, w in [(1, 3), (5, 9), (7, 7), (9, 5), (9, 11)]:
+            x = rng.normal(size=(3, 4, h, w)).astype(dtype)
+            for (kh, kw), stride, padding in itertools.product(
+                    kernels, (1, 2, 3), (0, 1, 2)):
+                if kh > h + 2 * padding or kw > w + 2 * padding:
+                    continue
+                wt = rng.normal(size=(8, 4 // groups, kh, kw)).astype(dtype)
+                args = (stride, padding, groups)
+                got, _ = ops.conv2d(x, wt, None, *args)
+                want = single_gemm_conv2d(x, wt, *args)
+                msg = str((h, w, kh, kw) + args)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=16 * eps * np.abs(want).max(),
+                    err_msg=msg)
+                # windows wholly in the padding are exact zeros on both
+                np.testing.assert_array_equal(got == 0, want == 0,
+                                              err_msg=msg)
+
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_recording_forward_caches_columns(self, capacity, in_ch,
+                                              monkeypatch):
+        model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
+                                        capacity=capacity))
+        inputs = {}
+
+        def traced(layer, x, train=True, _forward=Conv2d.forward):
+            inputs[id(layer)] = x
+            return _forward(layer, x, train)
+        monkeypatch.setattr(Conv2d, "forward", traced)
+        rng = np.random.default_rng(16)
+        model.forward(rng.random((16, in_ch, 32, 32), dtype=np.float32),
+                      train=True)
+        convs = [layer for _, layer in model._named_layers()
+                 if isinstance(layer, Conv2d)]
+        for c in convs:
+            k = c.weight.shape[2]
+            want = window_im2col(inputs[id(c)], k, k, c.stride, c.padding,
+                                 c.groups)
+            np.testing.assert_array_equal(c._cache[1], want)
+
+
 class TestConv2dBackward:
     def test_all_ones_weight_grad_is_one(self):
         x = np.ones((1, 1, 3, 3))
@@ -293,8 +354,9 @@ class TestConv2dBackward:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 4 // groups, 3, 3))
-        out, cols = ops.conv2d(x, w, np.zeros(4), stride=stride, padding=1,
-                               groups=groups)
+        out, planes = ops.conv2d(x, w, np.zeros(4), stride=stride, padding=1,
+                                 groups=groups)
+        cols = ops.fill_columns(planes, out.shape, 3, stride, groups)
         g = rng.normal(size=out.shape)
         plain = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
                                     groups=groups)
@@ -360,7 +422,8 @@ class TestCol2im:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
         w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
-        out, cols = ops.conv2d(x, w, None, stride, padding, groups)
+        out, planes = ops.conv2d(x, w, None, stride, padding, groups)
+        cols = ops.fill_columns(planes, out.shape, k, stride, groups)
         g = rng.normal(size=out.shape).astype(dtype)
         gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups,
                                        cols_cache=cols)
@@ -372,7 +435,8 @@ class TestCol2im:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 2, 3, 3))
-        out, cols = ops.conv2d(x, w, None, 2, 1, 2)
+        out, planes = ops.conv2d(x, w, None, 2, 1, 2)
+        cols = ops.fill_columns(planes, out.shape, 3, 2, 2)
         g = rng.normal(size=out.shape)
         gx, gw, gb = ops.conv2d_backward(x, w, g, 2, 1, 2, cols_cache=cols,
                                          need_grad_x=False)
