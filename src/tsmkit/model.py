@@ -167,7 +167,8 @@ class ResidualBlock:
         branch = ops.relu(branch)
         branch = self.norm2.forward(self.conv2.forward(branch, train), train)
         identity = self.proj.forward(x, train) if self.proj else x
-        return identity + branch
+        branch += identity  # the norm's fresh output, not kept by any cache
+        return branch
 
     def backward(self, g):
         gb = self.norm2.backward(g)

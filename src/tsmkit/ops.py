@@ -192,9 +192,12 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     gmat = np.ascontiguousarray(
         grad_out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
     ).reshape(groups, cog, n * oh * ow)
+    # cols @ gmat.T, written transposed: each element is the same dot
+    # product over N*H'*W' as in gmat @ cols.T, bit for bit on OpenBLAS,
+    # but the GEMM's M is the wider C_in/G*kH*kW instead of cog
     grad_w = np.empty_like(weight)
-    np.matmul(gmat, cols_cache.transpose(0, 2, 1),
-              out=grad_w.reshape(groups, cog, -1))
+    grad_w.reshape(groups, cog, -1)[...] = np.matmul(
+        cols_cache, gmat.transpose(0, 2, 1)).transpose(0, 2, 1)
     if not need_grad_x:
         return None, grad_w, grad_bias
     # col2im, the adjoint of _im2col, through stride-phase planes. Padded
@@ -212,8 +215,10 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     size = n * hq * wq
     gpad = gmat
     if (hq, wq) != (oh, ow):
-        gpad = np.zeros((cout, n, hq, wq), dtype=gmat.dtype)
+        gpad = np.empty((cout, n, hq, wq), dtype=gmat.dtype)
         gpad[:, :, :oh, :ow] = gmat.reshape(cout, n, oh, ow)
+        gpad[:, :, :oh, ow:] = 0
+        gpad[:, :, oh:] = 0
     gpad = gpad.reshape(groups, cog, size)
     krows = weight.reshape(groups, cog, cin_g, kh, kw)
     tail = (kh - 1) // stride * wq + (kw - 1) // stride
@@ -227,7 +232,13 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
                 planes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
             off = i // stride * wq + j // stride
             planes[phase][:, off:off + size] += gcols[:, j]
-    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    # the planes cover every padded pixel once all stride x stride phases
+    # exist and each reaches past the padded extent; otherwise the pixels no
+    # window reads get zero gradient
+    full = (kh >= stride and kw >= stride and hq * stride >= h + 2 * padding
+            and wq * stride >= w + 2 * padding)
+    gx_pad = (np.empty if full else np.zeros)(
+        (n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     # a plane row or column past the padded input holds only padding zeros
     for (pi, pj), plane in planes.items():
         dst = gx_pad[:, :, pi::stride, pj::stride]

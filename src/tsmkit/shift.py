@@ -43,9 +43,11 @@ def temporal_shift(x, cfg):
     future, zero-padding at clip boundaries."""
     n, t, fold = _check_shape(x, cfg)
     v = x.reshape(n, t, *x.shape[1:])
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     out[:, :-1, :fold] = v[:, 1:, :fold]
+    out[:, -1, :fold] = 0
     out[:, 1:, fold:2 * fold] = v[:, :-1, fold:2 * fold]
+    out[:, 0, fold:2 * fold] = 0
     out[:, :, 2 * fold:] = v[:, :, 2 * fold:]
     return out.reshape(x.shape)
 
@@ -54,8 +56,10 @@ def temporal_shift_backward(grad, cfg):
     """Adjoint of temporal_shift: each shifted group moves the opposite way."""
     n, t, fold = _check_shape(grad, cfg)
     v = grad.reshape(n, t, *grad.shape[1:])
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     out[:, 1:, :fold] = v[:, :-1, :fold]
+    out[:, 0, :fold] = 0
     out[:, :-1, fold:2 * fold] = v[:, 1:, fold:2 * fold]
+    out[:, -1, fold:2 * fold] = 0
     out[:, :, 2 * fold:] = v[:, :, 2 * fold:]
     return out.reshape(grad.shape)
