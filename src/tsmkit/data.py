@@ -325,10 +325,26 @@ def save_manifest(records, path):
 MANIFEST_KEYS = ("frames", "id", "label", "modality", "path", "split")
 
 
+def _value_error(rec):
+    """What is wrong with the values of a manifest row, or None."""
+    for key in ("id", "path", "split", "modality"):
+        if not isinstance(rec[key], str):
+            return f'"{key}" must be a string'
+    if rec["modality"] not in MODALITIES:
+        return f'"modality" must be one of {", ".join(sorted(MODALITIES))}'
+    for key, low in (("frames", 1), ("label", 0)):
+        value = rec[key]
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < low:
+            return f'"{key}" must be an integer >= {low}'
+    return None
+
+
 def load_manifest(path):
     """The records of a JSON-lines manifest. A line that is not a JSON object
-    holding every key of MANIFEST_KEYS, or a file without rows, raises a
-    one-line ValueError naming the file and line."""
+    holding every key of MANIFEST_KEYS with a value of the right type, or a
+    file without rows, raises a one-line ValueError naming the file and
+    line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -347,6 +363,9 @@ def load_manifest(path):
                 raise ValueError(
                     f"{path}:{lineno}: a manifest row needs "
                     + ", ".join(f'"{k}"' for k in missing))
+            problem = _value_error(rec)
+            if problem:
+                raise ValueError(f"{path}:{lineno}: {problem}")
             records.append(rec)
     if not records:
         raise ValueError(f"{path}: no manifest rows")

@@ -6,6 +6,7 @@ blocks optionally apply the temporal shift to their branch input. Per-frame
 logits are averaged over the clip's segments before softmax.
 """
 
+import copy
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,7 +51,27 @@ def _he_init(rng, shape, fan_in, dtype):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
 
-class Conv2d:
+class _Layer:
+    """A layer's parameters are the arrays params() names; each has a
+    gradient buffer, the attribute "g" + its name. _cache holds what the
+    last recording forward left for backward."""
+
+    _cache = None
+
+    def grads(self):
+        return {name: getattr(self, "g" + name) for name in self.params()}
+
+    def replica(self):
+        """This layer sharing its parameter arrays, with its own cache and
+        zeroed gradient buffers."""
+        twin = copy.copy(self)
+        twin._cache = None
+        for name, p in self.params().items():
+            setattr(twin, "g" + name, np.zeros_like(p))
+        return twin
+
+
+class Conv2d(_Layer):
     def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0, groups=1,
                  dtype=np.float32):
         fan_in = (in_ch // groups) * k * k
@@ -85,11 +106,8 @@ class Conv2d:
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def grads(self):
-        return {"weight": self.gweight, "bias": self.gbias}
 
-
-class AffineNorm:
+class AffineNorm(_Layer):
     def __init__(self, channels, dtype=np.float32, zero_scale=False):
         ops.norm_groups(channels)  # whole groups only
         init = 0.0 if zero_scale else 1.0
@@ -112,11 +130,8 @@ class AffineNorm:
     def params(self):
         return {"scale": self.scale, "shift": self.shift}
 
-    def grads(self):
-        return {"scale": self.gscale, "shift": self.gshift}
 
-
-class Linear:
+class Linear(_Layer):
     # gain < 1 keeps a freshly built classifier close to uniform output
     def __init__(self, rng, in_dim, out_dim, dtype=np.float32, gain=1.0):
         self.weight = gain * _he_init(rng, (out_dim, in_dim), in_dim, dtype)
@@ -136,9 +151,6 @@ class Linear:
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.gweight, "bias": self.gbias}
 
 
 class ResidualBlock:
@@ -188,6 +200,13 @@ class ResidualBlock:
             layers["proj"] = self.proj
         return layers
 
+    def replica(self):
+        twin = copy.copy(self)
+        twin._cache = None
+        for name, layer in self.sublayers().items():
+            setattr(twin, name, layer.replica())
+        return twin
+
 
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -215,9 +234,11 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    def forward(self, frames, train=False, dropout_seed=0):
+    def forward(self, frames, train=False, dropout_seed=0, dropout_mask=None):
         """Frames [N*T, C, H, W] -> clip logits [N, num_classes]. A training
         forward records what backward reads; an eval forward only its frames.
+        A training forward drops pooled features by dropout_mask, or by
+        draw_dropout_mask(N*T, dropout_seed) when it is None.
 
         An eval forward runs the network one clip of T frames at a time. The
         norm is per frame and the shift stays inside a clip, so a clip's
@@ -234,23 +255,32 @@ class Model:
             )
         self._frames = frames
         if train:
-            return self._run(frames, True, self.cfg.dropout_rate, dropout_seed)
-        clips = [self._run(frames[i:i + t], False, 0.0, 0)
+            if dropout_mask is None:
+                dropout_mask = self.draw_dropout_mask(nt, dropout_seed)
+            return self._run(frames, True, dropout_mask)
+        clips = [self._run(frames[i:i + t], False, None)
                  for i in range(0, nt, t)]
         if not clips:  # an empty batch has no clip logits
             return np.empty((0, self.cfg.num_classes), self.dtype)
         return np.concatenate(clips)
 
-    def _run(self, frames, record, drop_rate, dropout_seed):
+    def draw_dropout_mask(self, frames, seed):
+        """The dropout keep mask of a training forward over `frames` frames,
+        one row per frame, drawn from seed; None at rate 0. A part of the
+        batch can take its rows of it."""
+        return ops.dropout_mask((frames, self.head.weight.shape[1]),
+                                self.cfg.dropout_rate, seed, self.dtype)
+
+    def _run(self, frames, record, mask):
         x = frames.astype(self.dtype, copy=False)
         x = self.stem_norm.forward(self.stem_conv.forward(x, record), record)
         relu_mask = x > 0 if record else None
         x = ops.relu(x)
         for block in self.blocks:
             x = block.forward(x, record)
-        dropped, mask = ops.dropout(ops.global_avg_pool(x), drop_rate,
-                                    dropout_seed)
-        self._cache = (relu_mask, x.shape, mask, drop_rate) if record else None
+        dropped = ops.apply_dropout(ops.global_avg_pool(x), mask,
+                                    self.cfg.dropout_rate)
+        self._cache = (relu_mask, x.shape, mask) if record else None
         logits = self.head.forward(dropped, record)
         return logits.reshape(-1, self.cfg.num_segments, logits.shape[1]).mean(axis=1)
 
@@ -261,19 +291,31 @@ class Model:
         recording, without dropout: a second forward buys an eval that
         keeps nothing."""
         if self._cache is None:
-            self._run(self._frames, True, 0.0, 0)
-        relu_mask, pool_shape, mask, drop_rate = self._cache
+            self._run(self._frames, True, None)
+        relu_mask, pool_shape, mask = self._cache
         t = self.cfg.num_segments
         n, k = grad_logits.shape
         g = np.broadcast_to(grad_logits[:, None, :], (n, t, k)).reshape(n * t, k) / t
         g = self.head.backward(np.ascontiguousarray(g))
-        g = ops.dropout_backward(mask, drop_rate, g)
+        g = ops.dropout_backward(mask, self.cfg.dropout_rate, g)
         g = ops.global_avg_pool_backward(pool_shape, g)
         for block in reversed(self.blocks):
             g = block.backward(g)
         g = ops.relu_backward(relu_mask, g)
         g = self.stem_norm.backward(g)
         return self.stem_conv.backward(g, need_grad_x)
+
+    def replica(self):
+        """A model sharing this one's parameter arrays, so it sees every
+        update to them, with its own per-call state and gradient buffers:
+        the two can run forward and backward on two batches at once."""
+        twin = copy.copy(self)
+        twin._cache = twin._frames = None
+        twin.stem_conv = self.stem_conv.replica()
+        twin.stem_norm = self.stem_norm.replica()
+        twin.blocks = [block.replica() for block in self.blocks]
+        twin.head = self.head.replica()
+        return twin
 
     # ------------------------------------------------------------------
 

@@ -314,21 +314,32 @@ def softmax_cross_entropy_backward(probs, labels):
     return g / n
 
 
-def dropout(x, rate, seed):
-    """Inverted dropout; identity at rate 0. Returns (out, mask)."""
+def dropout_mask(shape, rate, seed, dtype):
+    """The keep mask inverted dropout draws from seed; None at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return x, None
+        return None
     rng = np.random.default_rng(seed)
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype)
-    return x * mask / (1.0 - rate), mask
+    return (rng.random(shape) >= rate).astype(dtype)
+
+
+def apply_dropout(x, mask, rate):
+    """Inverted dropout by a given keep mask: x * mask / (1 - rate), or x
+    where mask is None. It is its own backward."""
+    if mask is None:
+        return x
+    return x * mask / (1.0 - rate)
+
+
+def dropout(x, rate, seed):
+    """Inverted dropout; identity at rate 0. Returns (out, mask)."""
+    mask = dropout_mask(x.shape, rate, seed, x.dtype)
+    return apply_dropout(x, mask, rate), mask
 
 
 def dropout_backward(mask, rate, grad_out):
-    if mask is None:
-        return grad_out
-    return grad_out * mask / (1.0 - rate)
+    return apply_dropout(grad_out, mask, rate)
 
 
 NORM_GROUP_SIZE = 4  # channels per GroupNorm group

@@ -214,6 +214,20 @@ class TestErrorPaths:
         assert len(err) == 1
         assert err[0].startswith("error:") and "truncated checkpoint" in err[0]
 
+    def test_checkpoint_without_model_config(self, tiny_dataset, tmp_path,
+                                             capsys):
+        ckpt = tmp_path / "bare.ckpt"
+        header = b'{"epoch": 0}'
+        ckpt.write_bytes(b"TSMCKPT1" + struct.pack("<2I", 2, len(header))
+                         + header + struct.pack("<I", 0))
+        rc = cli.main(["predict", "--ckpt", str(ckpt), "--data",
+                       str(tiny_dataset / "manifest.jsonl"),
+                       "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {ckpt}: checkpoint header has no "
+                       f"model_config object"]
+
     def test_old_checkpoint_version(self, tiny_dataset, tmp_path, capsys):
         # version 1 meant a batch-statistics norm over the same tensors
         cfg = ModelConfig(num_classes=2, capacity="micro")
@@ -290,6 +304,9 @@ class TestErrorPaths:
           '"path": "a_ir.tsmv", "split": "train"}',
           '{"id": "b", "modality": "ir", "frames": 8, "path": "b_ir.tsmv"}'],
          ':2: a manifest row needs "label", "split"'),
+        (['{"id": "a", "label": "0", "modality": "ir", "frames": 8, '
+          '"path": "a_ir.tsmv", "split": "train"}'],
+         ':1: "label" must be an integer >= 0'),
     ])
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_bad_manifest(self, trained, tmp_path, capsys, command, lines,

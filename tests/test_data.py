@@ -277,3 +277,26 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.jsonl"
     data.save_manifest(recs, path)
     assert data.load_manifest(path) == recs
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"label": "0"}, '"label" must be an integer >= 0'),
+    ({"label": -1}, '"label" must be an integer >= 0'),
+    ({"label": 1.0}, '"label" must be an integer >= 0'),
+    ({"label": True}, '"label" must be an integer >= 0'),
+    ({"frames": 0}, '"frames" must be an integer >= 1'),
+    ({"frames": "8"}, '"frames" must be an integer >= 1'),
+    ({"id": 7}, '"id" must be a string'),
+    ({"path": None}, '"path" must be a string'),
+    ({"split": ["train"]}, '"split" must be a string'),
+    ({"modality": 1}, '"modality" must be a string'),
+    ({"modality": "depth"}, '"modality" must be one of ir, rgb'),
+])
+def test_manifest_value_types(tmp_path, change, message):
+    good = {"id": "c00_0000", "label": 0, "modality": "ir", "frames": 8,
+            "path": "c00_0000_ir.tsmv", "split": "train"}
+    path = tmp_path / "manifest.jsonl"
+    data.save_manifest([good, {**good, **change}], path)
+    with pytest.raises(ValueError) as err:
+        data.load_manifest(path)
+    assert str(err.value) == f"{path}:2: {message}"

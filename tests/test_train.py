@@ -1,14 +1,19 @@
-"""Training loop determinism, the two-phase protocol, checkpoint IO, and
-eval-mode prediction."""
+"""Training loop determinism, the two-half training step, BLAS thread
+control, the two-phase protocol, checkpoint IO, and eval-mode prediction."""
+
+import contextlib
+import json
+import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tsmkit import data
+from tsmkit import blas, data, ops
 from tsmkit.model import ModelConfig, build_model
-from tsmkit.train import (PredictionSet, TrainConfig, load_checkpoint,
-                          predict_model, save_checkpoint, train_phase1,
-                          train_phase2)
+from tsmkit.train import (PredictionSet, TrainConfig, _train_step,
+                          load_checkpoint, predict_model, save_checkpoint,
+                          train_phase1, train_phase2)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,170 @@ class TestTrainingLoop:
         assert log.records[0]["val_top1"] is None
 
 
+def step_batch(capacity, clips, in_ch=1, t=8, seed=0):
+    """A freshly built model, its replica, and a batch of `clips` clips."""
+    cfg = ModelConfig(num_classes=5, in_channels=in_ch, num_segments=t,
+                      capacity=capacity)
+    model = build_model(cfg, seed=seed)
+    for blk in model.blocks:  # residual branches that reach the logits
+        blk.norm2.scale[:] = 1.0
+    rng = np.random.default_rng(seed)
+    frames = rng.random((clips * t, in_ch, data.RESOLUTION, data.RESOLUTION),
+                        dtype=np.float32)
+    return model, model.replica(), frames, rng.integers(0, 5, clips)
+
+
+def one_pass_step(model, frames, labels, drop_seed):
+    """The batch's logits and gradients from one forward and backward."""
+    model.zero_grads()
+    logits = model.forward(frames, train=True, dropout_seed=drop_seed)
+    model.backward(ops.softmax_cross_entropy_backward(ops.softmax(logits),
+                                                      labels))
+    return logits, {k: g.copy() for k, g in model.named_grads().items()}
+
+
+class TestTwoHalfStep:
+    @pytest.mark.parametrize("capacity, in_ch", [("small", 1), ("large", 3)])
+    def test_concurrent_equals_halves_in_turn(self, capacity, in_ch):
+        # thread timing cannot change a bit
+        model, replica, frames, labels = step_batch(capacity, 8, in_ch)
+        with blas.threads(1), ThreadPoolExecutor(max_workers=1) as pool:
+            got = _train_step(model, replica, frames, labels, 5, pool)
+            grads = {k: g.copy() for k, g in model.named_grads().items()}
+            want = _train_step(model, replica, frames, labels, 5, None)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        for k, g in model.named_grads().items():
+            np.testing.assert_array_equal(grads[k], g, err_msg=k)
+
+    @pytest.mark.parametrize("capacity, in_ch, clips",
+                             [("small", 1, 8), ("large", 3, 8),
+                              ("small", 1, 3), ("small", 1, 1)])
+    def test_matches_one_pass(self, capacity, in_ch, clips):
+        model, replica, frames, labels = step_batch(capacity, clips, in_ch)
+        logits, loss = _train_step(model, replica, frames, labels, 5)
+        want_logits, want = one_pass_step(model.replica(), frames, labels, 5)
+        np.testing.assert_array_equal(logits, want_logits)
+        assert loss == ops.cross_entropy(ops.softmax(want_logits), labels)
+        for k, g in model.named_grads().items():
+            scale = np.abs(want[k]).max()
+            assert np.abs(g - want[k]).max() <= 1e-5 * scale, k
+            if clips == 1:  # one half: the one pass itself
+                np.testing.assert_array_equal(g, want[k], err_msg=k)
+
+    def test_one_clip_leaves_replica_idle(self):
+        model, replica, frames, labels = step_batch("small", 1)
+        logits, _ = _train_step(model, replica, frames, labels, 5)
+        assert logits.shape == (1, 5)
+        assert replica._cache is None
+        assert all(not g.any() for g in replica.named_grads().values())
+
+    @pytest.mark.parametrize("clips", [8, 3])
+    def test_dropout_mask_rows_of_one_pass(self, clips):
+        model, replica, frames, labels = step_batch("small", clips)
+        _train_step(model, replica, frames, labels, 11)
+        halves = np.concatenate([model._cache[2], replica._cache[2]])
+        single = model.replica()
+        single.forward(frames, train=True, dropout_seed=11)
+        assert 0 < halves.mean() < 1
+        np.testing.assert_array_equal(halves, single._cache[2])
+
+    def test_replica_shares_parameters_not_gradients(self):
+        model, replica, _, _ = step_batch("small", 1)
+        params, twin = model.named_parameters(), replica.named_parameters()
+        assert params.keys() == twin.keys()
+        for k in params:
+            assert twin[k] is params[k]
+        grads = model.named_grads()
+        for k, g in replica.named_grads().items():
+            assert not np.shares_memory(g, grads[k]) and not g.any()
+        for layer, twin_layer in zip(model._named_layers(),
+                                     replica._named_layers()):
+            assert layer[1] is not twin_layer[1]
+
+
+def blas_count():
+    return blas.CONTROL[1]()
+
+
+class TestBlasThreads:
+    def test_setter_resolves(self):
+        # without it training runs its halves in turn, on one core
+        assert blas.CONTROL is not None
+
+    def test_threads_restores_on_exception(self):
+        with blas.threads(2):
+            with pytest.raises(RuntimeError):
+                with blas.threads(1) as pinned:
+                    assert pinned and blas_count() == 1
+                    raise RuntimeError
+            assert blas_count() == 2
+
+    def test_training_restores_count(self, dataset, monkeypatch):
+        root, records = dataset
+        train, val = data.split(records, 0.8, seed=0)
+        seen = []
+        with blas.threads(2):
+            train_phase1(micro_model_cfg(), micro_train_cfg(), train, val,
+                         root, epochs=1,
+                         log_fn=lambda rec: seen.append(blas_count()))
+            assert seen == [1] and blas_count() == 2
+            monkeypatch.setattr(ops, "cross_entropy",
+                                lambda probs, labels: float("nan"))
+            with pytest.raises(FloatingPointError, match="non-finite loss"):
+                train_phase1(micro_model_cfg(), micro_train_cfg(), train,
+                             val, root, epochs=1)
+            assert blas_count() == 2
+
+    def test_predict_restores_count(self, dataset):
+        root, records = dataset
+        model = build_model(micro_model_cfg(), seed=0)
+        recs = [r for r in records if r["modality"] == "ir"][:4]
+        with blas.threads(2):
+            predict_model(model, recs, root)
+            assert blas_count() == 2
+            with pytest.raises(ValueError, match="channels"):
+                predict_model(model, [dict(recs[0], modality="rgb")], root)
+            assert blas_count() == 2
+
+    def test_checkpoint_bytes_without_setter(self, dataset, tmp_path,
+                                             monkeypatch):
+        # the halves run in turn when the count cannot be set, in the same
+        # bits
+        root, records = dataset
+        cfg = ModelConfig(num_classes=5, num_segments=4, capacity="small")
+        tcfg = micro_train_cfg(batch_size=5)
+        blobs = []
+        for control in (blas.CONTROL, None):
+            monkeypatch.setattr(blas, "CONTROL", control)
+            model, vel, _ = train_phase2(cfg, tcfg, records[:40], root,
+                                         epochs=1)
+            path = tmp_path / f"{len(blobs)}.ckpt"
+            save_checkpoint(path, model, vel, 0, tcfg, 1)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("capacity, modality",
+                             [("small", "ir"), ("large", "rgb")])
+    def test_predict_bits_at_one_and_two_threads(self, dataset, monkeypatch,
+                                                 capacity, modality):
+        root, records = dataset
+        cfg = ModelConfig(num_classes=5, capacity=capacity,
+                          in_channels=data.MODALITIES[modality][0])
+        model = build_model(cfg, seed=0)
+        for blk in model.blocks:
+            blk.norm2.scale[:] = 1.0
+        recs = [r for r in records if r["modality"] == modality][:6]
+        one = predict_model(model, recs, root).probs
+        pin = blas.threads
+        with pin(2):
+            monkeypatch.setattr(blas, "threads",
+                                lambda n: contextlib.nullcontext(False))
+            two = predict_model(model, recs, root).probs
+            assert blas_count() == 2
+        np.testing.assert_array_equal(one, two)
+
+
 class TestTwoPhaseEquivalence:
     def test_same_data_same_epochs_byte_identical_checkpoints(self, dataset,
                                                               tmp_path):
@@ -182,6 +351,56 @@ class TestCheckpoint:
             cut.write_bytes(blob[:size])
             with pytest.raises(ValueError, match="truncated checkpoint"):
                 load_checkpoint(cut)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"{not json", "checkpoint header is not JSON"),
+        (b"[1, 2]", "checkpoint header is not a JSON object"),
+        (b'{"epoch": 0}', "checkpoint header has no model_config object"),
+        (b'{"model_config": 3}', "has no model_config object"),
+        (None, "unexpected keyword argument 'colour'"),
+        (None, "num_classes must be >= 2"),
+    ])
+    def test_bad_header(self, tmp_path, header, message):
+        cfg = micro_model_cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(cfg), {}, 0, micro_train_cfg(), 1)
+        blob = path.read_bytes()
+        if header is None:
+            config = cfg.to_dict()
+            config.update({"colour": 1} if "colour" in message
+                          else {"num_classes": 1})
+            header = json.dumps({"model_config": config}).encode()
+        (hlen,) = struct.unpack_from("<I", blob, 12)
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + hlen:])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value) and "\n" not in str(err.value)
+
+    def test_bytes_past_last_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(micro_model_cfg()), {}, 0,
+                        micro_train_cfg(), 1)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(ValueError,
+                           match="3 extra bytes past the last tensor"):
+            load_checkpoint(path)
+
+    def test_huge_tensor_extent_is_truncation(self, tmp_path):
+        # a corrupted extent is caught before anything is read or allocated
+        cfg = micro_model_cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(cfg), {}, 0, micro_train_cfg(), 1)
+        blob = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack_from("<I", blob, 12)
+        at = 16 + hlen + 4  # the first tensor's name length
+        (nlen,) = struct.unpack_from("<I", blob, at)
+        extents = at + 4 + nlen + 4  # past its name and rank
+        blob[extents:extents + 4] = struct.pack("<I", 2 ** 32 - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
 
     def test_save_is_deterministic(self, dataset, tmp_path):
         cfg, tcfg = micro_model_cfg(), micro_train_cfg()
