@@ -22,7 +22,10 @@ class PredictionSet:
 
     @classmethod
     def load(cls, path):
+        """Reads a file written by save. A row that is not a probability
+        row of a new video id raises a one-line `path:line` ValueError."""
         ids, rows = [], []
+        first_line = {}  # id -> the line it first appeared on
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -49,11 +52,23 @@ class PredictionSet:
                 if not any(row):
                     raise ValueError(
                         f"{path}:{lineno}: a row with no probability mass")
+                total = math.fsum(row)
+                if abs(total - 1) > 1e-6:
+                    raise ValueError(f"{path}:{lineno}: probabilities sum to "
+                                     f"{total:.9g}, not 1")
                 if rows and len(row) != len(rows[0]):
                     raise ValueError(
                         f"{path}:{lineno}: {len(row)} probabilities, but the "
                         f"first row has {len(rows[0])}")
-                ids.append(rec["id"])
+                vid = rec["id"]
+                if not isinstance(vid, str):
+                    raise ValueError(f'{path}:{lineno}: "id" must be a string')
+                if vid in first_line:
+                    raise ValueError(
+                        f"{path}:{lineno}: duplicate id {vid!r}, first on "
+                        f"line {first_line[vid]}")
+                first_line[vid] = lineno
+                ids.append(vid)
                 rows.append(row)
         if not rows:
             raise ValueError(f"{path}: no prediction rows")

@@ -11,7 +11,9 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import platform
+import signal
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -350,10 +352,89 @@ def train_phase2(model_cfg, train_cfg, full_records, root, epochs=200,
     return model, vel, log
 
 
+def _predict_rows(model, recs, root, batch_size):
+    """Eval-mode probability rows of recs, batch_size clips per forward."""
+    t = model.cfg.num_segments
+    probs = np.empty((len(recs), model.cfg.num_classes))
+    for b0 in range(0, len(recs), batch_size):
+        frames = np.concatenate(
+            [_load_frames(rec, root, t, "eval")
+             for rec in recs[b0:b0 + batch_size]], axis=0)
+        logits = model.forward(frames, train=False)
+        probs[b0:b0 + batch_size] = ops.softmax(logits.astype(np.float64))
+    return probs
+
+
+def _child(fn, arg, read_fd, write_fd):
+    """The whole life of _in_two_processes' child: fn(arg), or the exception
+    it raised, pickled into write_fd, then os._exit, so that none of the
+    parent's exit handlers or buffered output runs twice."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            result = (True, fn(arg))
+        except BaseException as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive a pickle
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            result = (False, exc)
+        with os.fdopen(write_fd, "wb") as out:
+            pickle.dump(result, out, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_two_processes(fn, first, second):
+    """(fn(first), fn(second)), the second in a forked child process while
+    this one runs the first. The child inherits every object copy-on-write
+    and sends its result back through a pipe, which is read to the end
+    before the child is reaped, so a large result cannot block it. The
+    child is reaped on every path: when fn(first) raises, the child is
+    killed and fn(first)'s exception raised, the error one process would
+    meet first. fn(second)'s exception is raised with its type and message,
+    and a child that ends without a result raises ChildProcessError."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _child(fn, second, read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = fn(first)
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise ChildProcessError(
+            f"prediction worker {pid} was killed by signal "
+            f"{signal.Signals(-code).name} before it sent its rows")
+    if code > 0:
+        raise ChildProcessError(
+            f"prediction worker {pid} exited with status {code} before it "
+            f"sent its rows")
+    ok, theirs = pickle.loads(payload)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
 def predict_model(model, records, root, batch_size=8):
-    """Eval-mode predictions: one probability row per video id. The clips
-    run one at a time at one BLAS thread: their GEMMs are too small to gain
-    from a second, which only spins."""
+    """Eval-mode predictions: one probability row per video id. Every clip
+    runs alone through an eval forward at one BLAS thread, so its row does
+    not depend on batch_size or on which process ran it. With two or more
+    records and two or more CPUs, a forked child predicts the second half
+    of the records while this process predicts the first (the odd record
+    goes to the first; see _in_two_processes). A second thread in this
+    process gained far less than the child (README), since a clip's arrays
+    are small and two threads hand the GIL back and forth at every NumPy
+    call."""
     cfg = model.cfg
     recs = list(records)
     for rec in recs:
@@ -362,14 +443,16 @@ def predict_model(model, records, root, batch_size=8):
             raise ValueError(
                 f"modality {rec['modality']!r} has {channels} channels but the "
                 f"checkpointed model expects {cfg.in_channels}")
-    t = cfg.num_segments
-    probs = np.empty((len(recs), cfg.num_classes))
+
+    def rows(part):
+        return _predict_rows(model, part, root, batch_size)
+
+    half = (len(recs) + 1) // 2
     with blas.threads(1):
-        for b0 in range(0, len(recs), batch_size):
-            frames = np.concatenate(
-                [_load_frames(rec, root, t, "eval")
-                 for rec in recs[b0:b0 + batch_size]], axis=0)
-            logits = model.forward(frames, train=False)
-            probs[b0:b0 + batch_size] = ops.softmax(
-                logits.astype(np.float64))
+        if len(recs) < 2 or not hasattr(os, "fork") \
+                or len(os.sched_getaffinity(0)) < 2:
+            probs = rows(recs)
+        else:
+            probs = np.concatenate(
+                _in_two_processes(rows, recs[:half], recs[half:]))
     return PredictionSet([r["id"] for r in recs], probs)

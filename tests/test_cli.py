@@ -1,12 +1,14 @@
 """End-to-end CLI pipeline on a tiny dataset plus error-path behavior."""
 
 import json
+import os
+import signal
 import struct
 
 import numpy as np
 import pytest
 
-from tsmkit import cli
+from tsmkit import cli, train
 from tsmkit.model import ModelConfig, build_model
 from tsmkit.train import PredictionSet, TrainConfig, save_checkpoint
 
@@ -140,19 +142,18 @@ class TestEnsembleCli:
         cli.main(["predict", "--ckpt", str(ckpt), "--data",
                   str(ds / "manifest.jsonl"), "--out", str(preds)])
         base = PredictionSet.load(preds)
-        # the smallest subnormal loads, and half of it rounds to 0
-        tiny = np.zeros_like(base.probs)
-        tiny[:, 0] = 5e-324
-        other = tmp_path / "tiny.jsonl"
-        PredictionSet(base.ids, tiny).save(other)
+        # uniform rows at the smallest subnormal weight: each weighted
+        # probability, half of that weight, rounds to 0
+        other = tmp_path / "uniform.jsonl"
+        PredictionSet(base.ids, np.full_like(base.probs, 0.5)).save(other)
         capsys.readouterr()
         rc = cli.main(["ensemble", "--preds", str(other), str(preds),
-                       "--weights", "0.5,0", "--out",
+                       "--weights", "5e-324,0", "--out",
                        str(tmp_path / "e.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: fused probability of video {base.ids[0]!r} "
-                       f"is NaN at weights (0.5, 0.0)"]
+                       f"is NaN at weights (5e-324, 0.0)"]
         assert not (tmp_path / "e.jsonl").exists()
 
     def test_requires_weights_or_search(self, trained, tmp_path, capsys):
@@ -213,6 +214,30 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "truncated checkpoint" in err[0]
+
+    def test_killed_prediction_worker(self, trained, tmp_path, capsys,
+                                      monkeypatch):
+        # a forked worker that dies before sending its rows is one error line
+        ds, _, ckpt = trained
+        parent = os.getpid()
+        rows = train._predict_rows
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rows(*args)
+
+        monkeypatch.setattr(train, "_predict_rows", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rc = cli.main(["predict", "--ckpt", str(ckpt), "--data",
+                       str(ds / "manifest.jsonl"), "--split", "all",
+                       "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: prediction worker ")
+        assert err[0].endswith(" was killed by signal SIGKILL before it sent "
+                               "its rows")
 
     def test_checkpoint_without_model_config(self, tiny_dataset, tmp_path,
                                              capsys):
@@ -285,6 +310,14 @@ class TestErrorPaths:
         (['{"id": "a", "probs": [0.5, 0.5]}',
           '{"id": "b", "probs": [0, 0.0]}'],
          ":2: a row with no probability mass"),
+        (['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "b", "probs": [1, 0]}',
+          '{"id": "a", "probs": [0.25, 0.75]}'],
+         ":3: duplicate id 'a', first on line 1"),
+        (['{"id": "a", "probs": [0.5, 0.25]}'],
+         ":1: probabilities sum to 0.75, not 1"),
+        (['{"id": "a", "probs": [0.5, 0.500002]}'],
+         ":1: probabilities sum to 1.000002, not 1"),
+        (['{"id": 7, "probs": [0.5, 0.5]}'], ':1: "id" must be a string'),
     ])
     def test_bad_prediction_file(self, tiny_dataset, tmp_path, capsys, lines,
                                  message):

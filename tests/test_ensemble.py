@@ -314,3 +314,25 @@ class TestReport:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             report([], {})
+
+
+class TestPredictionSetLoad:
+    def test_row_sums_within_tolerance_load(self, tmp_path):
+        # rows a writer rounded stay loadable; one off 1 by more than 1e-6
+        # fails (tests/test_cli.py)
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": "a", "probs": [0.5, 0.4999995]}\n'
+                        '{"id": "b", "probs": [0.7500005, 0.25]}\n')
+        loaded = PredictionSet.load(path)
+        assert loaded.ids == ["a", "b"]
+        np.testing.assert_array_equal(loaded.probs,
+                                      [[0.5, 0.4999995], [0.7500005, 0.25]])
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        # loaded, a video saved twice would count twice in topk_accuracy
+        preds = PredictionSet(["a", "a"], np.array([[1.0, 0.0], [1.0, 0.0]]))
+        path = tmp_path / "p.jsonl"
+        preds.save(path)
+        with pytest.raises(ValueError, match=r":2: duplicate id 'a', first "
+                                             r"on line 1$"):
+            PredictionSet.load(path)

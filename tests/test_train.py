@@ -1,15 +1,18 @@
 """Training loop determinism, the two-half training step, BLAS thread
-control, the two-phase protocol, checkpoint IO, and eval-mode prediction."""
+control, the two-phase protocol, checkpoint IO, and eval-mode prediction
+with its forked worker."""
 
 import contextlib
 import json
+import os
+import signal
 import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tsmkit import blas, data, ops
+from tsmkit import blas, data, ops, train
 from tsmkit.model import ModelConfig, build_model
 from tsmkit.train import (PredictionSet, TrainConfig, _train_step,
                           load_checkpoint, predict_model, save_checkpoint,
@@ -36,6 +39,13 @@ def micro_train_cfg(**overrides):
     base = dict(lr=0.05, batch_size=8, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def use_cpus(monkeypatch, count):
+    """Makes the affinity mask hold count CPUs: predict_model forks its
+    worker at 2 and runs every clip in this process at 1."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 def strip_seconds(log):
@@ -451,9 +461,54 @@ class TestPredict:
         assert rev.ids == [r["id"] for r in recs[::-1]]
         np.testing.assert_array_equal(rev.probs, want[::-1])
 
-    def test_keeps_no_activations(self, dataset):
+    @pytest.mark.parametrize("capacity, modality",
+                             [("small", "ir"), ("large", "rgb")])
+    def test_forked_rows_equal_one_process(self, dataset, monkeypatch,
+                                           capacity, modality):
+        # the forked child's rows are the rows one process computes, bit for
+        # bit, at any batch size, and the ids keep the records' order
+        root, records = dataset
+        cfg = ModelConfig(num_classes=5, capacity=capacity,
+                          in_channels=data.MODALITIES[modality][0])
+        model = build_model(cfg, seed=0)
+        for blk in model.blocks:  # residual branches that reach the logits
+            blk.norm2.scale[:] = 1.0
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for count in (7, 1):
+            recs = [r for r in records if r["modality"] == modality][:count]
+            for batch_size in (1, 8, count):
+                use_cpus(monkeypatch, 1)
+                want = predict_model(model, recs, root, batch_size=batch_size)
+                use_cpus(monkeypatch, 2)
+                forks.clear()
+                got = predict_model(model, recs, root, batch_size=batch_size)
+                assert len(forks) == (count > 1)
+                assert got.ids == want.ids == [r["id"] for r in recs]
+                np.testing.assert_array_equal(got.probs, want.probs)
+
+    def test_without_fork_runs_in_one_process(self, dataset, monkeypatch):
+        root, records = dataset
+        model = build_model(micro_model_cfg(), seed=0)
+        recs = [r for r in records if r["modality"] == "ir"][:5]
+        use_cpus(monkeypatch, 2)
+        want = predict_model(model, recs, root)
+        monkeypatch.delattr(os, "fork")
+        got = predict_model(model, recs, root)
+        np.testing.assert_array_equal(got.probs, want.probs)
+
+    def test_keeps_no_activations(self, dataset, monkeypatch):
         # after predicting, the model holds its parameters, their gradients
-        # and the last input batch, and no activation
+        # and the last input batch of this process's records, and no
+        # activation. With 2 CPUs this process runs the first 8 of the 16
+        # records, one batch, and the spy does not see the forked child's;
+        # with 1 CPU it runs both batches
         root, records = dataset
         model = build_model(micro_model_cfg(), seed=0)
         recs = [r for r in records if r["modality"] == "ir"][:16]
@@ -483,9 +538,12 @@ class TestPredict:
         assert held() == kept
         model.forward(np.zeros((8, 1, 32, 32), np.float32), train=True)
         assert len(held() - kept) > 1
-        predict_model(model, recs, root)
-        assert len(inputs) == 3
-        assert held() == kept | {id(inputs[-1])}
+        for cpus, calls in ((2, 1), (1, 2)):
+            use_cpus(monkeypatch, cpus)
+            before = len(inputs)
+            predict_model(model, recs, root)
+            assert len(inputs) == before + calls
+            assert held() == kept | {id(inputs[-1])}
 
     def test_untrained_model_near_uniform(self, dataset):
         # a freshly initialized 5-class model should put its top probability
@@ -519,6 +577,80 @@ class TestPredict:
         path2 = tmp_path / "again.jsonl"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+class TestPredictWorker:
+    """Failures in predict_model's forked half give the error a one-process
+    run gives, or one line naming how the child ended; the autouse fixture
+    in conftest.py checks that no child is left behind."""
+
+    @pytest.fixture
+    def clips(self, tmp_path, monkeypatch):
+        spec = data.DatasetSpec(num_classes=2, clips_per_class=2,
+                                min_frames=6, max_frames=8, seed=0)
+        recs = [r for r in data.generate(spec, tmp_path)
+                if r["modality"] == "ir"]
+        assert len(recs) == 4  # this process runs 2, the child 2
+        use_cpus(monkeypatch, 2)
+        return build_model(micro_model_cfg(num_classes=2), seed=0), recs, \
+            tmp_path
+
+    @pytest.mark.parametrize("bad", [[3], [0], [0, 3]])
+    def test_bad_clip_error_is_the_one_process_error(self, clips,
+                                                     monkeypatch, bad):
+        # a cut clip in the child's half, in this process's half, or in both:
+        # the error of the lowest bad record, as in one process
+        model, recs, root = clips
+        for i in bad:
+            path = root / recs[i]["path"]
+            path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError) as forked:
+            predict_model(model, recs, root)
+        use_cpus(monkeypatch, 1)
+        with pytest.raises(ValueError) as one:
+            predict_model(model, recs, root)
+        assert str(forked.value) == str(one.value)
+        assert str(forked.value).startswith(
+            f"{root / recs[bad[0]]['path']}: truncated clip file")
+
+    def in_child(self, monkeypatch, action):
+        """Makes the child run action() in place of its half."""
+        parent = os.getpid()
+        rows = train._predict_rows
+
+        def patched(*args):
+            if os.getpid() != parent:
+                action()
+            return rows(*args)
+
+        monkeypatch.setattr(train, "_predict_rows", patched)
+
+    def test_killed_child(self, clips, monkeypatch):
+        model, recs, root = clips
+        self.in_child(monkeypatch,
+                      lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(ChildProcessError,
+                           match="killed by signal SIGKILL before it sent"):
+            predict_model(model, recs, root)
+
+    def test_child_exit_status(self, clips, monkeypatch):
+        model, recs, root = clips
+        self.in_child(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError,
+                           match="exited with status 3 before it sent"):
+            predict_model(model, recs, root)
+
+    def test_unpicklable_child_error(self, clips, monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fail():
+            raise LocalError("no rows")
+
+        model, recs, root = clips
+        self.in_child(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="^LocalError: no rows$"):
+            predict_model(model, recs, root)
 
 
 def test_train_log_csv_format(tmp_path):
