@@ -110,10 +110,10 @@ def check_softmax_cross_entropy(rng):
 def check_dropout(rng):
     x = rng.normal(size=(5, 6))
     p = _proj(rng, x.shape)
-    _, mask = ops.dropout(x, 0.4, seed=11)
-    g = ops.dropout_backward(mask, 0.4, p)
+    mask = ops.dropout_mask(x.shape, 0.4, 11, x.dtype)
+    g = ops.apply_dropout(p, mask, 0.4)
     return max_rel_error(g, numerical_gradient(
-        lambda v: float((ops.dropout(v, 0.4, seed=11)[0] * p).sum()), x))
+        lambda v: float((ops.apply_dropout(v, mask, 0.4) * p).sum()), x))
 
 
 def _check_affine_norm(rng, x_shape):

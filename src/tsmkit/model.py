@@ -6,7 +6,6 @@ blocks optionally apply the temporal shift to their branch input. Per-frame
 logits are averaged over the clip's segments before softmax.
 """
 
-import copy
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,15 +59,6 @@ class _Layer:
 
     def grads(self):
         return {name: getattr(self, "g" + name) for name in self.params()}
-
-    def replica(self):
-        """This layer sharing its parameter arrays, with its own cache and
-        zeroed gradient buffers."""
-        twin = copy.copy(self)
-        twin._cache = None
-        for name, p in self.params().items():
-            setattr(twin, "g" + name, np.zeros_like(p))
-        return twin
 
 
 class Conv2d(_Layer):
@@ -200,18 +190,12 @@ class ResidualBlock:
             layers["proj"] = self.proj
         return layers
 
-    def replica(self):
-        twin = copy.copy(self)
-        twin._cache = None
-        for name, layer in self.sublayers().items():
-            setattr(twin, name, layer.replica())
-        return twin
-
 
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
+        self._cache = self._frames = None
         rng = np.random.default_rng(seed)
         stem_w, stages = CAPACITY_PRESETS[cfg.capacity]
         shift_cfg = None
@@ -297,7 +281,7 @@ class Model:
         n, k = grad_logits.shape
         g = np.broadcast_to(grad_logits[:, None, :], (n, t, k)).reshape(n * t, k) / t
         g = self.head.backward(np.ascontiguousarray(g))
-        g = ops.dropout_backward(mask, self.cfg.dropout_rate, g)
+        g = ops.apply_dropout(g, mask, self.cfg.dropout_rate)
         g = ops.global_avg_pool_backward(pool_shape, g)
         for block in reversed(self.blocks):
             g = block.backward(g)
@@ -308,13 +292,14 @@ class Model:
     def replica(self):
         """A model sharing this one's parameter arrays, so it sees every
         update to them, with its own per-call state and gradient buffers:
-        the two can run forward and backward on two batches at once."""
-        twin = copy.copy(self)
-        twin._cache = twin._frames = None
-        twin.stem_conv = self.stem_conv.replica()
-        twin.stem_norm = self.stem_norm.replica()
-        twin.blocks = [block.replica() for block in self.blocks]
-        twin.head = self.head.replica()
+        the two can run forward and backward on two batches at once. It is
+        built like any model, then each of its layers is pointed at this
+        model's parameter arrays."""
+        twin = Model(self.cfg, dtype=self.dtype)
+        for (_, layer), (_, twin_layer) in zip(self._named_layers(),
+                                               twin._named_layers()):
+            for name, p in layer.params().items():
+                setattr(twin_layer, name, p)
         return twin
 
     # ------------------------------------------------------------------

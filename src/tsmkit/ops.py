@@ -306,12 +306,13 @@ def cross_entropy(probs, labels):
     return float(-np.log(np.clip(picked, 1e-300, None)).mean())
 
 
-def softmax_cross_entropy_backward(probs, labels):
-    """Gradient of mean cross_entropy(softmax(logits)) w.r.t. logits."""
+def softmax_cross_entropy_backward(probs, labels, count=None):
+    """Gradient of mean cross_entropy(softmax(logits)) w.r.t. logits. With
+    count, the mean is over a batch of count rows, of which these are some."""
     n, k = probs.shape
     g = probs.copy()
     g[np.arange(n), labels] -= 1.0
-    return g / n
+    return g / (n if count is None else count)
 
 
 def dropout_mask(shape, rate, seed, dtype):
@@ -330,16 +331,6 @@ def apply_dropout(x, mask, rate):
     if mask is None:
         return x
     return x * mask / (1.0 - rate)
-
-
-def dropout(x, rate, seed):
-    """Inverted dropout; identity at rate 0. Returns (out, mask)."""
-    mask = dropout_mask(x.shape, rate, seed, x.dtype)
-    return apply_dropout(x, mask, rate), mask
-
-
-def dropout_backward(mask, rate, grad_out):
-    return apply_dropout(grad_out, mask, rate)
 
 
 NORM_GROUP_SIZE = 4  # channels per GroupNorm group

@@ -26,7 +26,7 @@ from . import blas
 from . import data as datamod
 from . import ops
 from .ensemble import PredictionSet, topk_accuracy
-from .model import Model, ModelConfig, build_model
+from .model import ModelConfig, build_model
 
 CKPT_MAGIC = b"TSMCKPT1"
 # Version 2: the norm is per-frame GroupNorm. A version-1 file holds the same
@@ -45,6 +45,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def digest(self, epochs):
         blob = json.dumps(asdict(self) | {"epochs": epochs},
@@ -191,49 +193,42 @@ def _lr_at(base_lr, epoch, total_epochs):
     return lr
 
 
-def _on_both(pool, fn, parts):
-    """[fn(part) for part in parts] for one or two parts: the first on this
-    thread, the second on pool's worker at the same time, or after the
-    first when pool is None."""
-    if pool is None or len(parts) < 2:
-        return [fn(part) for part in parts]
-    second = pool.submit(fn, parts[1])
-    first = fn(parts[0])
-    return [first, second.result()]
-
-
 def _train_step(model, replica, frames, labels, drop_seed, pool=None):
     """Forward and backward of one batch as two halves split at its middle
-    clip: half 0 on model, half 1 on replica (see _on_both). The halves take
-    their rows of one batch-wide dropout mask and of the gradient of one
-    softmax cross-entropy over the whole batch. Half 1's gradients are then
-    added into model's, so model holds the batch's gradient in bits that
-    do not depend on thread timing. Returns (logits, loss)."""
+    clip: half 0 on model, on this thread, and half 1 on replica, on pool's
+    worker at the same time, or after half 0 when pool is None. Each half
+    runs its forward, its rows of the gradient of one softmax cross-entropy
+    over the whole batch and its backward in one call, with its rows of one
+    batch-wide dropout mask. Half 1's gradients are then added into model's,
+    so model holds the batch's gradient in bits that do not depend on thread
+    timing. Returns (logits, loss)."""
     t = model.cfg.num_segments
     n = len(labels)
     half = (n + 1) // 2
     mask = model.draw_dropout_mask(n * t, drop_seed)
-    parts = [(model, slice(0, half))]
-    if half < n:
-        parts.append((replica, slice(half, n)))
 
-    def forward(part):
-        net, clips = part
+    def run(net, clips):
         rows = slice(clips.start * t, clips.stop * t)
         net.zero_grads()
-        return net.forward(frames[rows], train=True,
-                           dropout_mask=None if mask is None else mask[rows])
+        logits = net.forward(frames[rows], train=True,
+                             dropout_mask=None if mask is None else mask[rows])
+        net.backward(ops.softmax_cross_entropy_backward(
+            ops.softmax(logits), labels[clips], n))
+        return logits
 
-    logits = np.concatenate(_on_both(pool, forward, parts))
-    probs = ops.softmax(logits)
-    loss = ops.cross_entropy(probs, labels)
-    grad = ops.softmax_cross_entropy_backward(probs, labels)
-    _on_both(pool, lambda part: part[0].backward(grad[part[1]]), parts)
-    if half < n:
+    if half == n:  # one clip: no second half
+        logits = run(model, slice(0, n))
+    else:
+        later = None if pool is None else \
+            pool.submit(run, replica, slice(half, n))
+        first = run(model, slice(0, half))
+        second = run(replica, slice(half, n)) if later is None \
+            else later.result()
+        logits = np.concatenate([first, second])
         for g, g1 in zip(model.named_grads().values(),
                          replica.named_grads().values()):
             g += g1
-    return logits, loss
+    return logits, ops.cross_entropy(ops.softmax(logits), labels)
 
 
 def _share_malloc_arena():
@@ -248,13 +243,19 @@ def _share_malloc_arena():
         ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
 
 
+def _second_core(pinned):
+    """Whether a second worker, thread or process, gets a core of its own:
+    the BLAS is held at one thread (pinned, from blas.threads) and two or
+    more CPUs are available."""
+    return pinned and len(os.sched_getaffinity(0)) >= 2
+
+
 @contextlib.contextmanager
 def _step_worker():
     """Holds the BLAS at one thread and yields a one-worker pool for half 1
-    of each step, or None (halves in turn) when the BLAS thread count
-    cannot be set or fewer than two CPUs are available."""
+    of each step, or None (halves in turn) without a second core."""
     with blas.threads(1) as pinned:
-        if not pinned or len(os.sched_getaffinity(0)) < 2:
+        if not _second_core(pinned):
             yield None
             return
         _share_malloc_arena()
@@ -429,12 +430,12 @@ def predict_model(model, records, root, batch_size=8):
     """Eval-mode predictions: one probability row per video id. Every clip
     runs alone through an eval forward at one BLAS thread, so its row does
     not depend on batch_size or on which process ran it. With two or more
-    records and two or more CPUs, a forked child predicts the second half
-    of the records while this process predicts the first (the odd record
-    goes to the first; see _in_two_processes). A second thread in this
-    process gained far less than the child (README), since a clip's arrays
-    are small and two threads hand the GIL back and forth at every NumPy
-    call."""
+    records and a second core (_second_core), a forked child predicts the
+    second half of the records while this process predicts the first (the
+    odd record goes to the first; see _in_two_processes). A second thread in
+    this process gained far less than the child (README), since a clip's
+    arrays are small and two threads hand the GIL back and forth at every
+    NumPy call."""
     cfg = model.cfg
     recs = list(records)
     for rec in recs:
@@ -448,9 +449,9 @@ def predict_model(model, records, root, batch_size=8):
         return _predict_rows(model, part, root, batch_size)
 
     half = (len(recs) + 1) // 2
-    with blas.threads(1):
+    with blas.threads(1) as pinned:
         if len(recs) < 2 or not hasattr(os, "fork") \
-                or len(os.sched_getaffinity(0)) < 2:
+                or not _second_core(pinned):
             probs = rows(recs)
         else:
             probs = np.concatenate(

@@ -371,6 +371,17 @@ class TestErrorPaths:
         assert err == [f"error: step must be a positive number, got "
                        f"{float(step)}"]
 
+    @pytest.mark.parametrize("batch_size", ["0", "-1"])
+    def test_bad_batch_size(self, tiny_dataset, tmp_path, capsys, batch_size):
+        ckpt = tmp_path / "ir.ckpt"
+        rc = cli.main(["train", "--data", str(tiny_dataset / "manifest.jsonl"),
+                       "--out", str(ckpt), "--classes", "2", "--epochs", "1",
+                       "--batch-size", batch_size])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: batch_size must be >= 1, got {batch_size}"]
+        assert not ckpt.exists()
+
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -480,25 +480,28 @@ class TestSoftmaxCrossEntropy:
 class TestDropout:
     def test_eval_mode_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        out, mask = ops.dropout(x, 0.0, seed=0)
+        mask = ops.dropout_mask(x.shape, 0.0, seed=0, dtype=x.dtype)
         assert mask is None
-        np.testing.assert_array_equal(out, x)
+        assert ops.apply_dropout(x, mask, 0.0) is x
 
     def test_rate_validation(self):
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="rate"):
-                ops.dropout(np.zeros((2, 2)), rate, seed=0)
+                ops.dropout_mask((2, 2), rate, seed=0, dtype=np.float64)
 
     def test_seed_determinism(self):
-        x = np.ones((100, 10))
-        a, _ = ops.dropout(x, 0.3, seed=42)
-        b, _ = ops.dropout(x, 0.3, seed=42)
+        a = ops.dropout_mask((100, 10), 0.3, seed=42, dtype=np.float64)
+        b = ops.dropout_mask((100, 10), 0.3, seed=42, dtype=np.float64)
         np.testing.assert_array_equal(a, b)
+        assert 0 < a.mean() < 1
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones((2000, 10))
-        out, _ = ops.dropout(x, 0.4, seed=1)
+        mask = ops.dropout_mask(x.shape, 0.4, seed=1, dtype=x.dtype)
+        out = ops.apply_dropout(x, mask, 0.4)
         assert abs(out.mean() - 1.0) < 0.05
+        np.testing.assert_allclose(out[mask == 1], 1 / 0.6)
+        assert not out[mask == 0].any()
 
 
 class TestAffineNorm:

@@ -69,6 +69,12 @@ class TestTrainConfig:
             train_phase2(micro_model_cfg(), micro_train_cfg(), records, root,
                          epochs=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got "
+                                             f"{batch_size}"):
+            TrainConfig(batch_size=batch_size)
+
     def test_digest_depends_on_epochs_and_seed(self):
         cfg = TrainConfig()
         assert cfg.digest(100) != cfg.digest(200)
@@ -197,6 +203,31 @@ class TestTwoHalfStep:
         single.forward(frames, train=True, dropout_seed=11)
         assert 0 < halves.mean() < 1
         np.testing.assert_array_equal(halves, single._cache[2])
+
+    @pytest.mark.parametrize("clips, submits", [(8, 1), (3, 1), (1, 0)])
+    def test_one_submit_per_step(self, clips, submits):
+        # each half runs its forward, loss gradient and backward in one call
+        model, replica, frames, labels = step_batch("small", clips)
+        want = _train_step(model, replica, frames, labels, 5)
+        calls = []
+
+        class SpyPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                calls.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        with blas.threads(1), SpyPool(max_workers=1) as pool:
+            got = _train_step(model, replica, frames, labels, 5, pool)
+        assert len(calls) == submits
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    def test_fresh_replica_holds_no_call_state(self):
+        model, replica, frames, _ = step_batch("small", 1)
+        model.forward(frames, train=True)
+        twin = model.replica()
+        assert twin._cache is None and twin._frames is None
+        assert twin.cfg == model.cfg and twin.dtype == model.dtype
 
     def test_replica_shares_parameters_not_gradients(self):
         model, replica, _, _ = step_batch("small", 1)
@@ -501,6 +532,21 @@ class TestPredict:
         want = predict_model(model, recs, root)
         monkeypatch.delattr(os, "fork")
         got = predict_model(model, recs, root)
+        np.testing.assert_array_equal(got.probs, want.probs)
+
+    def test_unpinned_blas_runs_in_one_process(self, dataset, monkeypatch):
+        # a child whose BLAS may run several threads would share a core
+        root, records = dataset
+        model = build_model(micro_model_cfg(), seed=0)
+        recs = [r for r in records if r["modality"] == "ir"][:5]
+        use_cpus(monkeypatch, 2)
+        want = predict_model(model, recs, root)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(blas, "CONTROL", None)
+        got = predict_model(model, recs, root)
+        assert forks == []
         np.testing.assert_array_equal(got.probs, want.probs)
 
     def test_keeps_no_activations(self, dataset, monkeypatch):
