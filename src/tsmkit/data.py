@@ -340,33 +340,44 @@ def _value_error(rec):
     return None
 
 
-def load_manifest(path):
-    """The records of a JSON-lines manifest. A line that is not a JSON object
-    holding every key of MANIFEST_KEYS with a value of the right type, or a
-    file without rows, raises a one-line ValueError naming the file and
-    line."""
-    records = []
-    with open(path) as fh:
+def read_json_rows(path, kind):
+    """(line number, object) for each non-blank line of the JSON-lines file
+    at path. A line that is not UTF-8 text of a JSON object, or a file
+    without rows, raises a one-line ValueError naming the file and line;
+    kind names the rows in its message."""
+    rows = []
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a JSON row") from None
             if not isinstance(rec, dict):
                 raise ValueError(
-                    f"{path}:{lineno}: a manifest row must be a JSON object")
-            missing = [k for k in MANIFEST_KEYS if k not in rec]
-            if missing:
-                raise ValueError(
-                    f"{path}:{lineno}: a manifest row needs "
-                    + ", ".join(f'"{k}"' for k in missing))
-            problem = _value_error(rec)
-            if problem:
-                raise ValueError(f"{path}:{lineno}: {problem}")
-            records.append(rec)
-    if not records:
-        raise ValueError(f"{path}: no manifest rows")
+                    f"{path}:{lineno}: a {kind} row must be a JSON object")
+            rows.append((lineno, rec))
+    if not rows:
+        raise ValueError(f"{path}: no {kind} rows")
+    return rows
+
+
+def load_manifest(path):
+    """The records of a JSON-lines manifest (read_json_rows). A row without
+    every key of MANIFEST_KEYS with a value of the right type raises a
+    one-line ValueError naming the file and line."""
+    records = []
+    for lineno, rec in read_json_rows(path, "manifest"):
+        missing = [k for k in MANIFEST_KEYS if k not in rec]
+        if missing:
+            raise ValueError(
+                f"{path}:{lineno}: a manifest row needs "
+                + ", ".join(f'"{k}"' for k in missing))
+        problem = _value_error(rec)
+        if problem:
+            raise ValueError(f"{path}:{lineno}: {problem}")
+        records.append(rec)
     return records

@@ -4,9 +4,10 @@ search on the simplex, top-k accuracy, and leaderboard-style reporting."""
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .data import read_json_rows
 
 
 @dataclass
@@ -22,56 +23,46 @@ class PredictionSet:
 
     @classmethod
     def load(cls, path):
-        """Reads a file written by save. A row that is not a probability
-        row of a new video id raises a one-line `path:line` ValueError."""
+        """Reads a file written by save (data.read_json_rows). A row that
+        is not a probability row of a new video id raises a one-line
+        `path:line` ValueError."""
         ids, rows = [], []
         first_line = {}  # id -> the line it first appeared on
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: not a JSON row") from None
-                if not (isinstance(rec, dict) and {"id", "probs"} <= rec.keys()):
-                    raise ValueError(
-                        f'{path}:{lineno}: a prediction row needs "id" and '
-                        f'"probs"')
-                row = rec["probs"]
-                if not isinstance(row, list):
-                    raise ValueError(f'{path}:{lineno}: "probs" must be a list')
-                if not all(type(p) in (int, float) for p in row):
-                    raise ValueError(
-                        f'{path}:{lineno}: "probs" must hold only numbers')
-                if not all(0 <= p <= 1 for p in row):  # False for NaN too
-                    raise ValueError(
-                        f"{path}:{lineno}: a probability outside [0, 1]")
-                if not any(row):
-                    raise ValueError(
-                        f"{path}:{lineno}: a row with no probability mass")
-                total = math.fsum(row)
-                if abs(total - 1) > 1e-6:
-                    raise ValueError(f"{path}:{lineno}: probabilities sum to "
-                                     f"{total:.9g}, not 1")
-                if rows and len(row) != len(rows[0]):
-                    raise ValueError(
-                        f"{path}:{lineno}: {len(row)} probabilities, but the "
-                        f"first row has {len(rows[0])}")
-                vid = rec["id"]
-                if not isinstance(vid, str):
-                    raise ValueError(f'{path}:{lineno}: "id" must be a string')
-                if vid in first_line:
-                    raise ValueError(
-                        f"{path}:{lineno}: duplicate id {vid!r}, first on "
-                        f"line {first_line[vid]}")
-                first_line[vid] = lineno
-                ids.append(vid)
-                rows.append(row)
-        if not rows:
-            raise ValueError(f"{path}: no prediction rows")
+        for lineno, rec in read_json_rows(path, "prediction"):
+            if not {"id", "probs"} <= rec.keys():
+                raise ValueError(
+                    f'{path}:{lineno}: a prediction row needs "id" and '
+                    f'"probs"')
+            row = rec["probs"]
+            if not isinstance(row, list):
+                raise ValueError(f'{path}:{lineno}: "probs" must be a list')
+            if not all(type(p) in (int, float) for p in row):
+                raise ValueError(
+                    f'{path}:{lineno}: "probs" must hold only numbers')
+            if not all(0 <= p <= 1 for p in row):  # False for NaN too
+                raise ValueError(
+                    f"{path}:{lineno}: a probability outside [0, 1]")
+            if not any(row):
+                raise ValueError(
+                    f"{path}:{lineno}: a row with no probability mass")
+            total = math.fsum(row)
+            if abs(total - 1) > 1e-6:
+                raise ValueError(f"{path}:{lineno}: probabilities sum to "
+                                 f"{total:.9g}, not 1")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: {len(row)} probabilities, but the "
+                    f"first row has {len(rows[0])}")
+            vid = rec["id"]
+            if not isinstance(vid, str):
+                raise ValueError(f'{path}:{lineno}: "id" must be a string')
+            if vid in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate id {vid!r}, first on "
+                    f"line {first_line[vid]}")
+            first_line[vid] = lineno
+            ids.append(vid)
+            rows.append(row)
         return cls(ids, np.asarray(rows, dtype=np.float64))
 
 
@@ -146,11 +137,13 @@ def topk_accuracy(preds, labels_by_id, k):
 
 def _simplex_grid(n, step):
     """All nonnegative weight vectors on the n-simplex at resolution step,
-    in lexicographic order."""
-    units = Fraction(1) / Fraction(step).limit_denominator(10 ** 6)
-    if units.denominator != 1:
-        raise ValueError(f"step {step} must divide 1 evenly")
-    units = int(units)
+    in lexicographic order. step must be 1/k for an integer k from 1 to
+    10**6, which is checked before anything is yielded."""
+    # the range check first, so that a tiny step cannot overflow 1 / step
+    units = round(1 / step) if 1e-6 <= step <= 1 else 0
+    if not 1 <= units <= 10 ** 6 or abs(units * step - 1) > 1e-9:
+        raise ValueError(
+            f"step {step} must be 1/k for an integer k from 1 to 10**6")
 
     def rec(remaining, slots):
         if slots == 1:

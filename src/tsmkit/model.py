@@ -195,7 +195,7 @@ class Model:
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self._cache = self._frames = None
+        self._cache = None
         rng = np.random.default_rng(seed)
         stem_w, stages = CAPACITY_PRESETS[cfg.capacity]
         shift_cfg = None
@@ -218,11 +218,11 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    def forward(self, frames, train=False, dropout_seed=0, dropout_mask=None):
+    def forward(self, frames, train=True, dropout_mask=None):
         """Frames [N*T, C, H, W] -> clip logits [N, num_classes]. A training
-        forward records what backward reads; an eval forward only its frames.
-        A training forward drops pooled features by dropout_mask, or by
-        draw_dropout_mask(N*T, dropout_seed) when it is None.
+        forward records what backward reads and drops pooled features by
+        dropout_mask (see draw_dropout_mask); None drops nothing. An eval
+        forward keeps nothing.
 
         An eval forward runs the network one clip of T frames at a time. The
         norm is per frame and the shift stays inside a clip, so a clip's
@@ -237,10 +237,7 @@ class Model:
                 f"batch has {frames.shape[1]} channels, model expects "
                 f"{self.cfg.in_channels}"
             )
-        self._frames = frames
         if train:
-            if dropout_mask is None:
-                dropout_mask = self.draw_dropout_mask(nt, dropout_seed)
             return self._run(frames, True, dropout_mask)
         clips = [self._run(frames[i:i + t], False, None)
                  for i in range(0, nt, t)]
@@ -269,13 +266,11 @@ class Model:
         return logits.reshape(-1, self.cfg.num_segments, logits.shape[1]).mean(axis=1)
 
     def backward(self, grad_logits, need_grad_x=False):
-        """Accumulates parameter gradients from d(loss)/d(clip logits) and
-        returns the gradient w.r.t. the input frames if need_grad_x, else
-        None. After an eval forward it first replays that forward,
-        recording, without dropout: a second forward buys an eval that
-        keeps nothing."""
+        """Accumulates parameter gradients from d(loss)/d(clip logits) of
+        the last training forward and returns the gradient w.r.t. its input
+        frames if need_grad_x, else None."""
         if self._cache is None:
-            self._run(self._frames, True, None)
+            raise ValueError("backward needs a training forward first")
         relu_mask, pool_shape, mask = self._cache
         t = self.cfg.num_segments
         n, k = grad_logits.shape

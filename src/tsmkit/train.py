@@ -436,6 +436,8 @@ def predict_model(model, records, root, batch_size=8):
     this process gained far less than the child (README), since a clip's
     arrays are small and two threads hand the GIL back and forth at every
     NumPy call."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     cfg = model.cfg
     recs = list(records)
     for rec in recs:

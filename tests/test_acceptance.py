@@ -119,13 +119,14 @@ def test_criterion_2_gradient_suite():
         blk.norm2.scale[:] = 0.5
     frames = rng.normal(size=(6, 2, 8, 8))
     labels = np.array([0, 2])
+    mask = model.draw_dropout_mask(len(frames), 17)
 
     def loss():
-        logits = model.forward(frames, train=True, dropout_seed=17)
+        logits = model.forward(frames, dropout_mask=mask)
         return ops.cross_entropy(ops.softmax(logits), labels)
 
     model.zero_grads()
-    probs = ops.softmax(model.forward(frames, train=True, dropout_seed=17))
+    probs = ops.softmax(model.forward(frames, dropout_mask=mask))
     model.backward(ops.softmax_cross_entropy_backward(probs, labels))
     grads = model.named_grads()
     h = 1e-5

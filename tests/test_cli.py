@@ -318,11 +318,16 @@ class TestErrorPaths:
         (['{"id": "a", "probs": [0.5, 0.500002]}'],
          ":1: probabilities sum to 1.000002, not 1"),
         (['{"id": 7, "probs": [0.5, 0.5]}'], ':1: "id" must be a string'),
+        (["[0.5, 0.5]"], ":1: a prediction row must be a JSON object"),
+        (['{"id": "a", "probs": [0.5, 0.5]}', '{"id": "\xff", "probs": [1]}'],
+         ":2: not UTF-8 text"),
     ])
     def test_bad_prediction_file(self, tiny_dataset, tmp_path, capsys, lines,
                                  message):
         preds = tmp_path / "bad.jsonl"
-        preds.write_text("".join(line + "\n" for line in lines))
+        # Latin-1, so that a non-ASCII character is not UTF-8
+        preds.write_text("".join(line + "\n" for line in lines),
+                         encoding="latin-1")
         rc = cli.main(["eval", "--preds", str(preds), "--data",
                        str(tiny_dataset / "manifest.jsonl")])
         assert rc == 1
@@ -340,13 +345,16 @@ class TestErrorPaths:
         (['{"id": "a", "label": "0", "modality": "ir", "frames": 8, '
           '"path": "a_ir.tsmv", "split": "train"}'],
          ':1: "label" must be an integer >= 0'),
+        (["", '{"id": "\xe9"}'], ":2: not UTF-8 text"),
     ])
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_bad_manifest(self, trained, tmp_path, capsys, command, lines,
                           message):
         _, _, ckpt = trained
         manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text("".join(line + "\n" for line in lines))
+        # Latin-1, so that a non-ASCII character is not UTF-8
+        manifest.write_text("".join(line + "\n" for line in lines),
+                            encoding="latin-1")
         args = {"train": ["--classes", "2", "--epochs", "1"],
                 "predict": ["--ckpt", str(ckpt)]}[command]
         rc = cli.main([command, "--data", str(manifest),
@@ -355,8 +363,31 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {manifest}{message}"]
 
-    @pytest.mark.parametrize("step", ["0", "-0.05", "nan", "inf"])
-    def test_bad_search_step(self, trained, tmp_path, capsys, step):
+    @pytest.mark.parametrize("command", [
+        ["eval", "--preds", "{dir}", "--data", "{manifest}"],
+        ["ensemble", "--preds", "{dir}", "{dir}", "--weights", "0.5,0.5",
+         "--out", "{dir}/e.jsonl"],
+        ["predict", "--ckpt", "{ckpt}", "--data", "{dir}",
+         "--out", "{dir}/o.jsonl"],
+    ], ids=["eval", "ensemble", "predict"])
+    def test_directory_as_input_file(self, trained, tmp_path, capsys,
+                                     command):
+        ds, _, ckpt = trained
+        rc = cli.main([arg.format(dir=tmp_path, ckpt=ckpt,
+                                  manifest=ds / "manifest.jsonl")
+                       for arg in command])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [Errno 21] Is a directory: '{tmp_path}'"]
+
+    @pytest.mark.parametrize("step, message", [
+        pytest.param(step, f"step must be a positive number, got "
+                     f"{float(step)}", id=step)
+        for step in ("0", "-0.05", "nan", "inf")] + [
+        pytest.param(step, f"step {float(step)} must be 1/k for an integer k "
+                     f"from 1 to 10**6", id=step)
+        for step in ("1e-7", "1e-320", "0.3", "2")])
+    def test_bad_search_step(self, trained, tmp_path, capsys, step, message):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"
         cli.main(["predict", "--ckpt", str(ckpt), "--data",
@@ -368,8 +399,7 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "e.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: step must be a positive number, got "
-                       f"{float(step)}"]
+        assert err == [f"error: {message}"]
 
     @pytest.mark.parametrize("batch_size", ["0", "-1"])
     def test_bad_batch_size(self, tiny_dataset, tmp_path, capsys, batch_size):

@@ -283,7 +283,7 @@ class TestSearchWeights:
         m = random_pset(rng, 4, 3)
         with pytest.raises(ValueError):
             search_weights([m], labels)
-        with pytest.raises(ValueError, match="divide"):
+        with pytest.raises(ValueError, match="must be 1/k"):
             search_weights([m, m], labels, step=0.3)
 
 

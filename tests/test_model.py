@@ -149,9 +149,20 @@ class TestForward:
         m = build_model(cfg, seed=3)
         rng = np.random.default_rng(4)
         frames = rng.normal(size=(6, 2, 8, 8)).astype(np.float32)
-        a = m.forward(frames, train=True, dropout_seed=9)
-        b = m.forward(frames, train=True, dropout_seed=9)
+        a = m.forward(frames, train=True,
+                      dropout_mask=m.draw_dropout_mask(len(frames), 9))
+        b = m.forward(frames, train=True,
+                      dropout_mask=m.draw_dropout_mask(len(frames), 9))
         np.testing.assert_array_equal(a, b)
+
+    def test_default_forward_records_without_dropout(self):
+        m = build_model(micro_config(dropout_rate=0.5), seed=3)
+        rng = np.random.default_rng(4)
+        frames = rng.normal(size=(6, 2, 8, 8)).astype(np.float32)
+        logits = m.forward(frames)
+        assert m._cache is not None and m._cache[2] is None
+        np.testing.assert_array_equal(
+            logits, m.forward(frames, train=True, dropout_mask=None))
 
     def test_channel_mismatch_error(self):
         m = build_model(micro_config(), seed=0)
@@ -180,12 +191,14 @@ class TestEndToEndGradient:
         frames = rng.normal(size=(2 * 3, 2, 8, 8))
         labels = np.array([0, 2])
 
+        mask = m.draw_dropout_mask(len(frames), 17)
+
         def loss():
-            logits = m.forward(frames, train=True, dropout_seed=17)
+            logits = m.forward(frames, dropout_mask=mask)
             return ops.cross_entropy(ops.softmax(logits), labels)
 
         m.zero_grads()
-        logits = m.forward(frames, train=True, dropout_seed=17)
+        logits = m.forward(frames, dropout_mask=mask)
         probs = ops.softmax(logits)
         m.backward(ops.softmax_cross_entropy_backward(probs, labels))
         grads = m.named_grads()
@@ -216,7 +229,7 @@ class TestEndToEndGradient:
         frames = rng.normal(size=(3, 2, 8, 8))
         labels = np.array([1])
         m.zero_grads()
-        probs = ops.softmax(m.forward(frames, train=False))
+        probs = ops.softmax(m.forward(frames))
         gframes = m.backward(ops.softmax_cross_entropy_backward(probs, labels),
                              need_grad_x=True)
         from tsmkit.gradcheck import numerical_gradient
@@ -227,8 +240,8 @@ class TestEndToEndGradient:
 
 
 class TestEvalForwardCaches:
-    """An eval forward keeps nothing for a backward and gives a recording
-    forward's logits; a backward after it replays the forward, recording."""
+    """An eval forward keeps nothing and gives a recording forward's
+    logits; a backward after it raises."""
 
     @staticmethod
     def small(dropout_rate=0.5):
@@ -246,29 +259,20 @@ class TestEvalForwardCaches:
         frames = self.frames(16)
         layers = [layer for _, layer in m._named_layers()]
         convs = [layer for layer in layers if isinstance(layer, Conv2d)]
-        m.forward(frames, train=True, dropout_seed=1)
+        m.forward(frames, train=True,
+                  dropout_mask=m.draw_dropout_mask(len(frames), 1))
         assert all(c._cache[1] is not None for c in convs)  # im2col columns
         m.forward(frames, train=False)
         for obj in (m, *m.blocks, *layers):
             assert obj._cache is None, obj
 
-    def test_backward_after_eval_matches_training(self):
-        # eight clips: the eval forward runs them one at a time
-        frames, labels = self.frames(64), np.arange(8) % 5
-        grads = []
-        for train in (True, False):
-            m = self.small(dropout_rate=0.0)
-            m.zero_grads()
-            logits = m.forward(frames, train=train, dropout_seed=1)
-            probs = ops.softmax(logits)
-            gx = m.backward(ops.softmax_cross_entropy_backward(probs, labels),
-                            need_grad_x=True)
-            grads.append((logits, gx, m.named_grads()))
-        (la, gxa, ga), (lb, gxb, gb) = grads
-        np.testing.assert_array_equal(la, lb)
-        np.testing.assert_array_equal(gxa, gxb)
-        for name in ga:
-            np.testing.assert_array_equal(ga[name], gb[name], err_msg=name)
+    def test_backward_after_eval_raises(self):
+        m = self.small()
+        frames = self.frames(16)
+        m.forward(frames)
+        m.forward(frames, train=False)
+        with pytest.raises(ValueError, match="training forward"):
+            m.backward(np.zeros((2, 5), np.float32))
 
     @pytest.mark.parametrize("t", [8, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -292,7 +296,8 @@ class TestEvalForwardCaches:
             m = self.small()
             tracemalloc.start()
             try:
-                m.forward(frames, train=train, dropout_seed=1)
+                m.forward(frames, train=train,
+                          dropout_mask=m.draw_dropout_mask(len(frames), 1))
                 peaks[train] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -353,7 +358,8 @@ class TestTrainingForwardCaches:
                 activations.extend((x, out))
                 return out
             monkeypatch.setattr(cls, "forward", traced)
-        m.forward(frames, train=True, dropout_seed=1)
+        m.forward(frames, train=True,
+                  dropout_mask=m.draw_dropout_mask(len(frames), 1))
         convs = [layer for _, layer in m._named_layers()
                  if isinstance(layer, Conv2d)]
         for conv in convs:
@@ -365,7 +371,8 @@ class TestTrainingForwardCaches:
 
     def test_masks_are_bool(self):
         m, frames = self.record("small", 1)
-        m.forward(frames, train=True, dropout_seed=1)
+        m.forward(frames, train=True,
+                  dropout_mask=m.draw_dropout_mask(len(frames), 1))
         relu_masks = [m._cache[0]] + [blk._cache for blk in m.blocks]
         for mask in relu_masks:
             assert mask.dtype == np.bool_
@@ -376,7 +383,8 @@ class TestTrainingForwardCaches:
     def test_cached_bytes_from_shapes(self, capacity, in_ch, dtype):
         n = 16
         m, frames = self.record(capacity, in_ch, n, dtype)
-        m.forward(frames, train=True, dropout_seed=1)
+        m.forward(frames, train=True,
+                  dropout_mask=m.draw_dropout_mask(len(frames), 1))
         item = np.dtype(dtype).itemsize
 
         def conv(layer, c, h, w):  # (column bytes, output c, h, w)

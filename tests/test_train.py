@@ -152,7 +152,8 @@ def step_batch(capacity, clips, in_ch=1, t=8, seed=0):
 def one_pass_step(model, frames, labels, drop_seed):
     """The batch's logits and gradients from one forward and backward."""
     model.zero_grads()
-    logits = model.forward(frames, train=True, dropout_seed=drop_seed)
+    mask = model.draw_dropout_mask(len(frames), drop_seed)
+    logits = model.forward(frames, dropout_mask=mask)
     model.backward(ops.softmax_cross_entropy_backward(ops.softmax(logits),
                                                       labels))
     return logits, {k: g.copy() for k, g in model.named_grads().items()}
@@ -200,7 +201,8 @@ class TestTwoHalfStep:
         _train_step(model, replica, frames, labels, 11)
         halves = np.concatenate([model._cache[2], replica._cache[2]])
         single = model.replica()
-        single.forward(frames, train=True, dropout_seed=11)
+        single.forward(frames, train=True,
+                       dropout_mask=single.draw_dropout_mask(len(frames), 11))
         assert 0 < halves.mean() < 1
         np.testing.assert_array_equal(halves, single._cache[2])
 
@@ -226,7 +228,7 @@ class TestTwoHalfStep:
         model, replica, frames, _ = step_batch("small", 1)
         model.forward(frames, train=True)
         twin = model.replica()
-        assert twin._cache is None and twin._frames is None
+        assert twin._cache is None
         assert twin.cfg == model.cfg and twin.dtype == model.dtype
 
     def test_replica_shares_parameters_not_gradients(self):
@@ -464,6 +466,14 @@ class TestPredict:
         np.testing.assert_allclose(preds.probs.sum(axis=1), 1.0, atol=1e-6)
         assert (preds.probs >= 0).all()
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, dataset, batch_size):
+        root, records = dataset
+        model = build_model(micro_model_cfg(), seed=0)
+        with pytest.raises(ValueError,
+                           match=f"^batch_size must be >= 1, got {batch_size}$"):
+            predict_model(model, records[:2], root, batch_size=batch_size)
+
     def test_deterministic(self, dataset):
         root, records = dataset
         model = build_model(micro_model_cfg(), seed=0)
@@ -550,11 +560,11 @@ class TestPredict:
         np.testing.assert_array_equal(got.probs, want.probs)
 
     def test_keeps_no_activations(self, dataset, monkeypatch):
-        # after predicting, the model holds its parameters, their gradients
-        # and the last input batch of this process's records, and no
-        # activation. With 2 CPUs this process runs the first 8 of the 16
-        # records, one batch, and the spy does not see the forked child's;
-        # with 1 CPU it runs both batches
+        # after predicting, the model holds its parameters and their
+        # gradients, and neither an activation nor an input batch. With 2
+        # CPUs this process runs the first 8 of the 16 records, one batch,
+        # and the spy does not see the forked child's; with 1 CPU it runs
+        # both batches
         root, records = dataset
         model = build_model(micro_model_cfg(), seed=0)
         recs = [r for r in records if r["modality"] == "ir"][:16]
@@ -589,7 +599,7 @@ class TestPredict:
             before = len(inputs)
             predict_model(model, recs, root)
             assert len(inputs) == before + calls
-            assert held() == kept | {id(inputs[-1])}
+            assert held() == kept
 
     def test_untrained_model_near_uniform(self, dataset):
         # a freshly initialized 5-class model should put its top probability
