@@ -75,43 +75,16 @@ def _row_planes(x, kh, kw, stride, padding):
     return planes
 
 
-def fill_columns(planes, out_shape, kh, stride, groups):
-    """The im2col columns [G, C/G*kh*kw, N*H'*W'] of a conv of output shape
-    out_shape [N, C_out, H', W'] from its _row_planes: rows run over
-    (channel, ky, kx) and columns over (n, y', x'). Each kernel row is one
-    copy of H'*W' contiguous floats per (channel, kernel column, frame).
-    The columns are bit for bit those of a gather from a sliding-window
-    view of the zero-padded input."""
-    n, _, oh, ow = out_shape
-    _, c, kw, width = planes.shape
-    hq = (width // ow - (kh - 1) // stride) // n  # width: N*hq*W' + tail
-    cols = np.empty((c, kh, kw, n, oh * ow), planes.dtype)
-    for i in range(kh):
-        off = i // stride * ow
-        rows = planes[i % stride, :, :, off:off + n * hq * ow]
-        cols[:, i] = rows.reshape(c, kw, n, hq * ow)[..., :oh * ow]
-    return cols.reshape(groups, -1, n * oh * ow)
-
-
-def _im2col(x, kh, kw, stride, padding, groups):
-    """Patches of x as one [G, C/G*kh*kw, N*H'*W'] array (fill_columns)."""
-    n, _, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    return fill_columns(_row_planes(x, kh, kw, stride, padding),
-                        (n, None, oh, ow), kh, stride, groups)
-
-
 def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
     """Cross-correlation of x [N,C_in,H,W] with weight [C_out,C_in/groups,kH,kW].
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
     Returns (out, planes): planes are x's _row_planes, from which
-    fill_columns builds the im2col columns that conv2d_backward takes as
-    cols_cache. The output is kH GEMMs batched over groups, one per kernel
-    row, each over its window of the planes (as in MEC; Cho & Brand, arXiv
-    1706.06873), summed in kernel-row order. Each frame's hq - H' extra
-    output rows read across into the next frame and are dropped.
+    conv2d_backward computes the weight gradient. The output is kH GEMMs
+    batched over groups, one per kernel row, each over its window of the
+    planes (as in MEC; Cho & Brand, arXiv 1706.06873), summed in kernel-row
+    order. Each frame's hq - H' extra output rows read across into the next
+    frame and are dropped.
     """
     x = _as_float(x)
     weight = _as_float(weight)
@@ -164,13 +137,16 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
-                    cols_cache=None, need_grad_x=True):
+                    planes=None, need_grad_x=True):
     """Gradients of conv2d w.r.t. (input, weight, bias).
 
-    cols_cache lets a caller reuse the im2col buffer from the forward pass;
-    results are identical either way, and with it x is read only for its
-    shape and dtype. need_grad_x=False skips the input gradient and returns
-    None in its place.
+    planes are x's _row_planes, as conv2d returns them; without them the
+    backward builds them from x, and with them x is read only for its shape
+    and dtype. The weight gradient of kernel row i is one GEMM over the
+    plane window conv2d's row i read, against the upstream gradient laid
+    out [G, cog, N*hq*W'] with zeros in each frame's rows H'..hq-1, which
+    cancel the window's reads across frames. need_grad_x=False skips the
+    input gradient and returns None in its place.
     """
     x = _as_float(x)
     weight = _as_float(weight)
@@ -187,20 +163,29 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     cog = cout // groups
-    if cols_cache is None:
-        cols_cache = _im2col(x, kh, kw, stride, padding, groups)
-    gmat = np.ascontiguousarray(
-        grad_out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
-    ).reshape(groups, cog, n * oh * ow)
-    # cols @ gmat.T, written transposed: each element is the same dot
-    # product over N*H'*W' as in gmat @ cols.T, bit for bit on OpenBLAS,
-    # but the GEMM's M is the wider C_in/G*kH*kW instead of cog
+    if planes is None:
+        planes = _row_planes(x, kh, kw, stride, padding)
+    fh = _frame_rows(h, kh, stride, padding)  # the planes' hq
+    gq = np.empty((groups, cog, n, fh, ow), dtype=grad_out.dtype)
+    gmat = gq[:, :, :, :oh]
+    gmat[...] = grad_out.reshape(n, groups, cog, oh, ow).transpose(
+        1, 2, 0, 3, 4)
+    gq[:, :, :, oh:] = 0
+    size = n * fh * ow
+    gqt = gq.reshape(groups, cog, size).transpose(0, 2, 1)
     grad_w = np.empty_like(weight)
-    grad_w.reshape(groups, cog, -1)[...] = np.matmul(
-        cols_cache, gmat.transpose(0, 2, 1)).transpose(0, 2, 1)
+    gw_rows = grad_w.reshape(groups, cog, cin_g, kh, kw)
+    for i in range(kh):
+        off = i // stride * ow
+        rows = planes[i % stride, :, :, off:off + size].reshape(
+            groups, cin_g * kw, size)
+        # rows @ gq.T, written transposed: the GEMM's M is the wider
+        # C_in/G*kW instead of cog
+        gw_rows[:, :, :, i] = np.matmul(rows, gqt).transpose(0, 2, 1).reshape(
+            groups, cog, cin_g, kw)
     if not need_grad_x:
         return None, grad_w, grad_bias
-    # col2im, the adjoint of _im2col, through stride-phase planes. Padded
+    # col2im, the adjoint of im2col, through stride-phase planes. Padded
     # row y = i + stride*oy belongs to phase i % stride, at plane row
     # i//stride + oy, and likewise for columns. Laying the upstream gradient
     # out with hq x wq pixels per frame, zeros outside [:oh, :ow], makes each
@@ -222,16 +207,16 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     gpad = gpad.reshape(groups, cog, size)
     krows = weight.reshape(groups, cog, cin_g, kh, kw)
     tail = (kh - 1) // stride * wq + (kw - 1) // stride
-    planes = {}
+    gplanes = {}
     for i in range(kh):
         kmat = np.ascontiguousarray(krows[:, :, :, i]).reshape(groups, cog, -1)
         gcols = np.matmul(kmat.transpose(0, 2, 1), gpad).reshape(cin, kw, size)
         for j in range(kw):
             phase = (i % stride, j % stride)
-            if phase not in planes:
-                planes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
+            if phase not in gplanes:
+                gplanes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
             off = i // stride * wq + j // stride
-            planes[phase][:, off:off + size] += gcols[:, j]
+            gplanes[phase][:, off:off + size] += gcols[:, j]
     # the planes cover every padded pixel once all stride x stride phases
     # exist and each reaches past the padded extent; otherwise the pixels no
     # window reads get zero gradient
@@ -240,7 +225,7 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     gx_pad = (np.empty if full else np.zeros)(
         (n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     # a plane row or column past the padded input holds only padding zeros
-    for (pi, pj), plane in planes.items():
+    for (pi, pj), plane in gplanes.items():
         dst = gx_pad[:, :, pi::stride, pj::stride]
         rows, cols = min(hq, dst.shape[2]), min(wq, dst.shape[3])
         src = plane[:, :size].reshape(cin, n, hq, wq)[:, :, :rows, :cols]

@@ -386,7 +386,9 @@ class TestErrorPaths:
         for step in ("0", "-0.05", "nan", "inf")] + [
         pytest.param(step, f"step {float(step)} must be 1/k for an integer k "
                      f"from 1 to 10**6", id=step)
-        for step in ("1e-7", "1e-320", "0.3", "2")])
+        for step in ("1e-7", "1e-320", "0.3", "2")] + [
+        pytest.param("1e-6", "step 1e-06 with 2 members makes 1000001 grid "
+                     "points, over the cap of 200000", id="1e-6")])
     def test_bad_search_step(self, trained, tmp_path, capsys, step, message):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -285,6 +285,15 @@ class TestSearchWeights:
             search_weights([m], labels)
         with pytest.raises(ValueError, match="must be 1/k"):
             search_weights([m, m], labels, step=0.3)
+        # grids over the cap are counted, never built
+        for members, step, points in [(2, 1 / 200_000, 200_001),
+                                      (3, 1e-6, 500_001_500_001),
+                                      (4, 1e-6, 166_667_666_668_500_001)]:
+            with pytest.raises(ValueError, match=(
+                    f"with {members} members makes {points} grid points, "
+                    f"over the cap of 200000$")):
+                search_weights([m] * members, labels, step=step)
+        assert len(list(_simplex_grid(4, 0.05))) == 1771
 
 
 class TestReport:

@@ -261,7 +261,7 @@ class TestEvalForwardCaches:
         convs = [layer for layer in layers if isinstance(layer, Conv2d)]
         m.forward(frames, train=True,
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
-        assert all(c._cache[1] is not None for c in convs)  # im2col columns
+        assert all(c._cache[1] is not None for c in convs)  # the planes
         m.forward(frames, train=False)
         for obj in (m, *m.blocks, *layers):
             assert obj._cache is None, obj
@@ -305,8 +305,9 @@ class TestEvalForwardCaches:
 
 
 class TestEvalBuildsNoColumns:
-    """An eval forward runs each conv's kernel-row GEMMs over its row-phase
-    planes and never fills the im2col column matrix."""
+    """Each conv runs its kernel-row GEMMs over its row-phase planes. An
+    eval forward keeps none of them; a recording forward keeps the planes
+    conv2d returned, not a column matrix built from them."""
 
     @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
     def test_eval_forward_never_fills_columns(self, capacity, in_ch,
@@ -316,14 +317,20 @@ class TestEvalBuildsNoColumns:
         rng = np.random.default_rng(5)
         frames = rng.random((16, in_ch, RESOLUTION, RESOLUTION),
                             dtype=np.float32)
+        returned = []
 
-        def no_fill(*args, **kwargs):
-            raise AssertionError("an eval forward filled im2col columns")
-        monkeypatch.setattr(ops, "fill_columns", no_fill)
+        def conv2d(*args, _conv2d=ops.conv2d):
+            out, planes = _conv2d(*args)
+            returned.append(planes)
+            return out, planes
+        monkeypatch.setattr(ops, "conv2d", conv2d)
+        convs = [layer for _, layer in m._named_layers()
+                 if isinstance(layer, Conv2d)]
+        m.forward(frames, train=True)
+        assert [c._cache[1] for c in convs] == returned
         logits = m.forward(frames, train=False)
         assert logits.shape == (2, 5) and np.isfinite(logits).all()
-        with pytest.raises(AssertionError, match="filled im2col columns"):
-            m.forward(frames, train=True)
+        assert all(c._cache is None for c in convs)
 
 
 def _flat_arrays(obj):
@@ -336,8 +343,8 @@ def _flat_arrays(obj):
 
 class TestTrainingForwardCaches:
     """A training forward keeps only what its backward reads: each conv's
-    columns and a shape stand-in for its input, the norm caches, the ReLU
-    masks, the dropout mask and the head's input."""
+    row-phase planes and a shape stand-in for its input, the norm caches,
+    the ReLU masks, the dropout mask and the head's input."""
 
     @staticmethod
     def record(capacity, in_ch, n=16, dtype=np.float32):
@@ -363,11 +370,11 @@ class TestTrainingForwardCaches:
         convs = [layer for _, layer in m._named_layers()
                  if isinstance(layer, Conv2d)]
         for conv in convs:
-            stand_in, cols = conv._cache
+            stand_in, planes = conv._cache
             assert stand_in.strides == (0,) * stand_in.ndim
             for a in activations:
                 assert not np.shares_memory(stand_in, a)
-                assert not np.shares_memory(cols, a)
+                assert not np.shares_memory(planes, a)
 
     def test_masks_are_bool(self):
         m, frames = self.record("small", 1)
@@ -387,11 +394,15 @@ class TestTrainingForwardCaches:
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
         item = np.dtype(dtype).itemsize
 
-        def conv(layer, c, h, w):  # (column bytes, output c, h, w)
+        def conv(layer, c, h, w):  # (plane bytes, output c, h, w)
             cout, _, k, _ = layer.weight.shape
-            oh = (h + 2 * layer.padding - k) // layer.stride + 1
-            ow = (w + 2 * layer.padding - k) // layer.stride + 1
-            return c * k * k * n * oh * ow * item, cout, oh, ow
+            s, p = layer.stride, layer.padding
+            oh = (h + 2 * p - k) // s + 1
+            ow = (w + 2 * p - k) // s + 1
+            hq = ops._frame_rows(h, k, s, p)
+            tail = (k - 1) // s * ow
+            planes = min(s, k) * c * k * (n * hq * ow + tail) * item
+            return planes, cout, oh, ow
 
         def norm(c, h, w):  # xhat and 1/std per (frame, group)
             return n * c * h * w * item + n * (c // 4) * item
@@ -399,8 +410,8 @@ class TestTrainingForwardCaches:
         want, c, h, w = conv(m.stem_conv, in_ch, RESOLUTION, RESOLUTION)
         want += norm(c, h, w) + n * c * h * w  # and a bool ReLU mask
         for blk in m.blocks:
-            cols, c1, h1, w1 = conv(blk.conv1, c, h, w)
-            want += cols + norm(c1, h1, w1) + n * c1 * h1 * w1
+            planes, c1, h1, w1 = conv(blk.conv1, c, h, w)
+            want += planes + norm(c1, h1, w1) + n * c1 * h1 * w1
             want += conv(blk.conv2, c1, h1, w1)[0] + norm(c1, h1, w1)
             if blk.proj:
                 want += conv(blk.proj, c, h, w)[0]

@@ -46,6 +46,26 @@ def window_im2col(x, kh, kw, stride, padding, groups):
     return cols.reshape(groups, -1, n * oh * ow)
 
 
+def plane_columns(planes, x_shape, kh, stride, padding):
+    """The im2col columns [C, kh, kW, N, H'*W'] read off x's row-phase
+    planes: kernel row i's window at offset (i//stride)*W' of phase
+    i % stride, as conv2d and conv2d_backward read it, cut to the first H'
+    of each frame's hq rows."""
+    n, c, h, w = x_shape
+    kw = planes.shape[2]
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    hq = ops._frame_rows(h, kh, stride, padding)
+    assert planes.shape == (min(stride, kh), c, kw,
+                            (n * hq + (kh - 1) // stride) * ow)
+    cols = np.empty((c, kh, kw, n, oh * ow), planes.dtype)
+    for i in range(kh):
+        off = i // stride * ow
+        rows = planes[i % stride, :, :, off:off + n * hq * ow]
+        cols[:, i] = rows.reshape(c, kw, n, hq * ow)[..., :oh * ow]
+    return cols
+
+
 def single_gemm_conv2d(x, weight, stride, padding, groups):
     """conv2d as one GEMM of the weights over the whole column matrix: the
     oracle for the per-kernel-row GEMMs of conv2d."""
@@ -240,6 +260,8 @@ class TestIm2col:
     @pytest.mark.parametrize("groups", [1, 2, 4])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_equals_window_gather(self, batch, groups, dtype):
+        """Each kernel row's window of the row-phase planes, cut to the
+        first H' rows of every frame, holds that row's im2col columns."""
         rng = np.random.default_rng(13)
         kernels = [(k, k) for k in range(1, 6)] + [(1, 3), (3, 1), (2, 5),
                                                    (5, 2), (4, 3)]
@@ -250,8 +272,10 @@ class TestIm2col:
                 if kh > h + 2 * padding or kw > w + 2 * padding:
                     continue
                 args = (kh, kw, stride, padding, groups)
-                got = ops._im2col(x, *args)
-                want = window_im2col(x, *args)
+                want = window_im2col(x, *args).reshape(4, kh, kw, batch, -1)
+                got = plane_columns(
+                    ops._row_planes(x, kh, kw, stride, padding), x.shape,
+                    kh, stride, padding)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 np.testing.assert_array_equal(got, want, err_msg=str(args))
                 # the padding zeros are +0.0, as np.pad writes them
@@ -304,9 +328,14 @@ class TestRowGemms:
                  if isinstance(layer, Conv2d)]
         for c in convs:
             k = c.weight.shape[2]
-            want = window_im2col(inputs[id(c)], k, k, c.stride, c.padding,
-                                 c.groups)
-            np.testing.assert_array_equal(c._cache[1], want)
+            x = inputs[id(c)]
+            planes = c._cache[1]
+            np.testing.assert_array_equal(
+                planes, ops._row_planes(x, k, k, c.stride, c.padding))
+            want = window_im2col(x, k, k, c.stride, c.padding, 1)
+            np.testing.assert_array_equal(
+                plane_columns(planes, x.shape, k, c.stride, c.padding),
+                want.reshape(x.shape[1], k, k, len(x), -1))
 
 
 class TestConv2dBackward:
@@ -351,19 +380,63 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("groups", [1, 4])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_cols_cache_identical(self, groups, stride):
+        """The forward's planes, given to the backward, and planes the
+        backward builds from x give the same bits."""
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 4 // groups, 3, 3))
         out, planes = ops.conv2d(x, w, np.zeros(4), stride=stride, padding=1,
                                  groups=groups)
-        cols = ops.fill_columns(planes, out.shape, 3, stride, groups)
         g = rng.normal(size=out.shape)
         plain = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
                                     groups=groups)
         cached = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
-                                     groups=groups, cols_cache=cols)
+                                     groups=groups, planes=planes)
         for a, b in zip(plain, cached):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
+    def test_preset_weight_grads_equal_column_oracle(self, capacity, in_ch,
+                                                     dtype):
+        """Every conv shape of the presets (stems of 1 and 3 channels,
+        stride 1 and 2, groups 1 and 4, 1x1 projections): the weight
+        gradient from the planes is the column GEMM gmat @ cols.T within
+        4 ulp of the sum of its terms' magnitudes, since the kernel-row
+        GEMMs sum the same products in another order, and given planes and
+        planes built inside give the same bits."""
+        model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
+                                        capacity=capacity), dtype=dtype)
+        rng = np.random.default_rng(17)
+        model.forward(rng.random((16, in_ch, 32, 32)).astype(dtype))
+        convs = [layer for _, layer in model._named_layers()
+                 if isinstance(layer, Conv2d)]
+        # (kernel, stride, groups): the stem, the blocks' 3x3 convs, the
+        # 1x1 projections
+        assert {(c.weight.shape[2], c.stride, c.groups) for c in convs} == {
+            "small": {(3, 2, 1), (3, 1, 1), (1, 2, 1)},
+            "large": {(3, 2, 1), (3, 1, 4), (3, 2, 4), (1, 2, 1)}}[capacity]
+        eps = np.finfo(dtype).eps
+        for c in convs:
+            x = rng.normal(size=c._cache[0].shape).astype(dtype)
+            args = (c.stride, c.padding, c.groups)
+            out, planes = ops.conv2d(x, c.weight, None, *args)
+            g = rng.normal(size=out.shape).astype(dtype)
+            _, gw, _ = ops.conv2d_backward(x, c.weight, g, *args,
+                                           planes=planes)
+            _, built, _ = ops.conv2d_backward(x, c.weight, g, *args)
+            np.testing.assert_array_equal(gw, built)
+            cog = c.weight.shape[0] // c.groups
+            gmat = np.ascontiguousarray(g.reshape(
+                len(x), c.groups, cog, -1).transpose(1, 2, 0, 3)).reshape(
+                    c.groups, cog, -1)
+            cols = window_im2col(x, *c.weight.shape[2:], *args)
+            want = np.matmul(gmat, cols.transpose(0, 2, 1))
+            terms = np.matmul(np.abs(gmat), np.abs(cols).transpose(0, 2, 1))
+            assert gw.dtype == want.dtype
+            err = np.abs(gw.reshape(want.shape) - want)
+            assert (err <= 4 * eps * terms).all(), (
+                c.weight.shape, args, (err / (eps * terms)).max())
 
 
 class TestCol2im:
@@ -423,10 +496,9 @@ class TestCol2im:
         x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
         w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
         out, planes = ops.conv2d(x, w, None, stride, padding, groups)
-        cols = ops.fill_columns(planes, out.shape, k, stride, groups)
         g = rng.normal(size=out.shape).astype(dtype)
         gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups,
-                                       cols_cache=cols)
+                                       planes=planes)
         want = single_gemm_grad_x(x, w, g, stride, padding, groups)
         assert gx.dtype == want.dtype
         np.testing.assert_array_equal(gx, want)
@@ -436,9 +508,8 @@ class TestCol2im:
         x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 2, 3, 3))
         out, planes = ops.conv2d(x, w, None, 2, 1, 2)
-        cols = ops.fill_columns(planes, out.shape, 3, 2, 2)
         g = rng.normal(size=out.shape)
-        gx, gw, gb = ops.conv2d_backward(x, w, g, 2, 1, 2, cols_cache=cols,
+        gx, gw, gb = ops.conv2d_backward(x, w, g, 2, 1, 2, planes=planes,
                                          need_grad_x=False)
         _, want_w, want_b = ops.conv2d_backward(x, w, g, 2, 1, 2)
         assert gx is None
