@@ -46,6 +46,13 @@ def _records_for_split(manifest_path, split):
 
 
 def cmd_gen_data(args):
+    # datamod.split takes 1 - ratio; checked before any clip is written
+    if not 0 < 1.0 - args.val_ratio < 1:
+        raise ValueError(
+            f"--val-ratio must be in (0, 1), got {args.val_ratio}")
+    if args.test_ratio != 0 and not 0 < 1.0 - args.test_ratio < 1:
+        raise ValueError(
+            f"--test-ratio must be in [0, 1), got {args.test_ratio}")
     spec = datamod.DatasetSpec(
         num_classes=args.classes, clips_per_class=args.clips_per_class,
         seed=args.seed)

@@ -62,8 +62,15 @@ def check_conv2d_grouped_strided(rng):
 
 
 def check_conv2d_odd(rng):
-    # stride-phase planes of unequal extents, on a non-square frame
+    # row phases and kernel columns that reach over unequal extents of a
+    # non-square frame
     return _check_conv(rng, (2, 3, 8, 11), (4, 3, 5, 5), stride=3, padding=2)
+
+
+def check_conv2d_proj(rng):
+    # a 1x1 stride-2 projection reads no odd row or column of its input,
+    # so their gradient is zero
+    return _check_conv(rng, (2, 3, 5, 6), (4, 3, 1, 1), stride=2)
 
 
 def check_relu(rng):
@@ -164,6 +171,7 @@ CHECKS = {
     "conv2d_grouped_strided": check_conv2d_grouped_strided,
     "conv2d_odd": check_conv2d_odd,
     "affine_norm_groups": check_affine_norm_groups,
+    "conv2d_proj": check_conv2d_proj,
 }
 
 

@@ -40,6 +40,27 @@ def _frame_rows(h, kh, stride, padding):
     return min(oh + (kh - 1) // stride, max(oh, -(-(h + padding) // stride)))
 
 
+def _plane_windows(planes, xt, kh, stride, padding):
+    """(plane window, input window) pairs, one per row phase a and kernel
+    column j that reaches the unpadded input: rows q0:q1 and columns x0:x1
+    of planes[a, :, j] as [C, N, hq, W'], and the same pixels of xt, the
+    input as [C, N, H, W]. The one place that maps pixels to planes."""
+    c, n, h, w = xt.shape
+    s, kw = stride, planes.shape[2]
+    ow = (w + 2 * padding - kw) // s + 1
+    hq = _frame_rows(h, kh, s, padding)
+    for a in range(len(planes)):
+        q0, q1 = _valid_range(a, padding, s, h, hq)
+        for j in range(kw):
+            x0, x1 = _valid_range(j, padding, s, w, ow)
+            if q1 > q0 and x1 > x0:
+                plane = planes[a, :, j, :n * hq * ow].reshape(c, n, hq, ow)
+                r0, c0 = a + s * q0 - padding, j + s * x0 - padding
+                yield (plane[:, :, q0:q1, x0:x1],
+                       xt[:, :, r0:r0 + s * (q1 - q0 - 1) + 1:s,
+                          c0:c0 + s * (x1 - x0 - 1) + 1:s])
+
+
 def _row_planes(x, kh, kw, stride, padding):
     """Row-phase planes of x: [S, C, kW, N*hq*W' + tail], S = min(stride, kh).
 
@@ -50,29 +71,49 @@ def _row_planes(x, kh, kw, stride, padding):
     hq = _frame_rows(...) rows per frame, of padded columns j + stride*x',
     and zeros where it reaches into the padding or past the padded input.
     Kernel row i is then the [C, kW, N*hq*W'] window at offset
-    (i//stride)*W' of its phase: the first H' rows of each of its frames
-    are the kernel row's im2col columns. The tail, (kh-1)//stride rows of
-    zeros, holds the last frame's window.
+    (i//stride)*W' of its phase (_row_windows): the first H' rows of each of
+    its frames are the kernel row's im2col columns. The tail,
+    (kh-1)//stride rows of zeros, holds the last frame's window.
     """
     n, c, h, w = x.shape
-    s = stride
-    oh = (h + 2 * padding - kh) // s + 1
-    ow = (w + 2 * padding - kw) // s + 1
-    hq = _frame_rows(h, kh, s, padding)
-    size = n * hq * ow
-    planes = np.zeros((min(s, kh), c, kw, size + (kh - 1) // s * ow), x.dtype)
-    xt = x.transpose(1, 0, 2, 3)
-    for a in range(len(planes)):
-        q0, q1 = _valid_range(a, padding, s, h, hq)
-        for j in range(kw):
-            x0, x1 = _valid_range(j, padding, s, w, ow)
-            if q1 > q0 and x1 > x0:
-                plane = planes[a, :, j, :size].reshape(c, n, hq, ow)
-                r0, c0 = a + s * q0 - padding, j + s * x0 - padding
-                plane[:, :, q0:q1, x0:x1] = xt[
-                    :, :, r0:r0 + s * (q1 - q0 - 1) + 1:s,
-                    c0:c0 + s * (x1 - x0 - 1) + 1:s]
+    ow = (w + 2 * padding - kw) // stride + 1
+    size = n * _frame_rows(h, kh, stride, padding) * ow
+    planes = np.zeros((min(stride, kh), c, kw, size + (kh - 1) // stride * ow),
+                      x.dtype)
+    for dst, src in _plane_windows(planes, x.transpose(1, 0, 2, 3), kh, stride,
+                                   padding):
+        dst[...] = src
     return planes
+
+
+def _row_planes_adjoint(gplanes, shape, kh, stride, padding):
+    """The adjoint of _row_planes: the C-contiguous gradient of an input of
+    this shape from its planes' gradient. A pixel copied to no plane gets
+    exactly zero; the entries of the padding and the tail are dropped."""
+    grad_x = np.zeros(shape, gplanes.dtype)
+    for src, dst in _plane_windows(gplanes, grad_x.transpose(1, 0, 2, 3), kh,
+                                   stride, padding):
+        dst += src
+    return grad_x
+
+
+def _row_windows(planes, kh, stride, ow, groups):
+    """Kernel row i's window of the planes for i in range(kh): a view
+    [G, C_in/G*kW, N*hq*W'] at offset (i//stride)*W' of phase i % stride."""
+    size = planes.shape[3] - (kh - 1) // stride * ow
+    for i in range(kh):
+        off = i // stride * ow
+        yield planes[i % stride, :, :, off:off + size].reshape(
+            groups, -1, size)
+
+
+def _kernel_rows(weight, groups):
+    """[kH, G, cog, C_in/G*kW]: the weights of each kernel row, contiguous, in
+    the row order of its _row_windows window."""
+    cout, cin_g, kh, kw = weight.shape
+    return np.ascontiguousarray(
+        weight.reshape(groups, cout // groups, cin_g, kh, kw).transpose(
+            3, 0, 1, 2, 4)).reshape(kh, groups, cout // groups, cin_g * kw)
 
 
 def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
@@ -106,21 +147,14 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     hq = _frame_rows(h, kh, stride, padding)
-    size = n * hq * ow
     planes = _row_planes(x, kh, kw, stride, padding)
-    # [kH, G, cog, C_in/G*kW]: the weights of each kernel row
-    krows = np.ascontiguousarray(
-        weight.reshape(groups, cog, cin_g, kh, kw).transpose(3, 0, 1, 2, 4)
-    ).reshape(kh, groups, cog, cin_g * kw)
     res = part = None
-    for i in range(kh):
-        off = i // stride * ow
-        rows = planes[i % stride, :, :, off:off + size].reshape(
-            groups, cin_g * kw, size)
+    for krow, rows in zip(_kernel_rows(weight, groups),
+                          _row_windows(planes, kh, stride, ow, groups)):
         if res is None:
-            res = np.matmul(krows[i], rows)  # [G, cog, N*hq*W']
+            res = np.matmul(krow, rows)  # [G, cog, N*hq*W']
         else:
-            part = np.matmul(krows[i], rows, out=part)
+            part = np.matmul(krow, rows, out=part)
             res += part
     res = res.reshape(groups, cog, n, hq, ow)[:, :, :, :oh]
     dtype = res.dtype
@@ -142,16 +176,21 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
 
     planes are x's _row_planes, as conv2d returns them; without them the
     backward builds them from x, and with them x is read only for its shape
-    and dtype. The weight gradient of kernel row i is one GEMM over the
-    plane window conv2d's row i read, against the upstream gradient laid
-    out [G, cog, N*hq*W'] with zeros in each frame's rows H'..hq-1, which
-    cancel the window's reads across frames. need_grad_x=False skips the
-    input gradient and returns None in its place.
+    and dtype. The upstream gradient is laid out like the forward's output
+    rows, [G, cog, N*hq*W'], with zeros in each frame's rows H'..hq-1. The
+    weight gradient of kernel row i is one GEMM of it against the plane
+    window conv2d's row i read; the zero rows cancel the window's reads
+    across frames. The input gradient is the adjoint of the forward: the
+    GEMM of kernel row i's weights, transposed, with the upstream gradient
+    adds into that window of a plane gradient laid out like the planes, and
+    _row_planes_adjoint takes the plane gradient to the input gradient.
+    need_grad_x=False skips the input gradient and returns None in its
+    place.
     """
     x = _as_float(x)
     weight = _as_float(weight)
     grad_out = _as_float(grad_out)
-    n, cin, h, w = x.shape
+    n, _, h, w = x.shape
     cout, cin_g, kh, kw = weight.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
@@ -165,72 +204,31 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     cog = cout // groups
     if planes is None:
         planes = _row_planes(x, kh, kw, stride, padding)
-    fh = _frame_rows(h, kh, stride, padding)  # the planes' hq
-    gq = np.empty((groups, cog, n, fh, ow), dtype=grad_out.dtype)
-    gmat = gq[:, :, :, :oh]
-    gmat[...] = grad_out.reshape(n, groups, cog, oh, ow).transpose(
+    hq = _frame_rows(h, kh, stride, padding)
+    gq = np.empty((groups, cog, n, hq, ow), dtype=grad_out.dtype)
+    gq[:, :, :, :oh] = grad_out.reshape(n, groups, cog, oh, ow).transpose(
         1, 2, 0, 3, 4)
     gq[:, :, :, oh:] = 0
-    size = n * fh * ow
-    gqt = gq.reshape(groups, cog, size).transpose(0, 2, 1)
+    gq = gq.reshape(groups, cog, n * hq * ow)
     grad_w = np.empty_like(weight)
     gw_rows = grad_w.reshape(groups, cog, cin_g, kh, kw)
-    for i in range(kh):
-        off = i // stride * ow
-        rows = planes[i % stride, :, :, off:off + size].reshape(
-            groups, cin_g * kw, size)
+    for i, rows in enumerate(_row_windows(planes, kh, stride, ow, groups)):
         # rows @ gq.T, written transposed: the GEMM's M is the wider
         # C_in/G*kW instead of cog
-        gw_rows[:, :, :, i] = np.matmul(rows, gqt).transpose(0, 2, 1).reshape(
-            groups, cog, cin_g, kw)
+        gw_rows[:, :, :, i] = np.matmul(
+            rows, gq.transpose(0, 2, 1)).transpose(0, 2, 1).reshape(
+                groups, cog, cin_g, kw)
     if not need_grad_x:
         return None, grad_w, grad_bias
-    # col2im, the adjoint of im2col, through stride-phase planes. Padded
-    # row y = i + stride*oy belongs to phase i % stride, at plane row
-    # i//stride + oy, and likewise for columns. Laying the upstream gradient
-    # out with hq x wq pixels per frame, zeros outside [:oh, :ow], makes each
-    # kernel position one contiguous add of C_in rows into its phase plane
-    # at offset (i//stride)*wq + j//stride; the padded columns add exact
-    # zeros, so every element sums the same terms in the same order. One
-    # GEMM per kernel row makes the columns of its kW positions, which are
-    # added before the next row's GEMM, so only kW of the kH*kW column
-    # blocks exist at a time.
-    hq = oh + (kh - 1) // stride
-    wq = ow + (kw - 1) // stride
-    size = n * hq * wq
-    gpad = gmat
-    if (hq, wq) != (oh, ow):
-        gpad = np.empty((cout, n, hq, wq), dtype=gmat.dtype)
-        gpad[:, :, :oh, :ow] = gmat.reshape(cout, n, oh, ow)
-        gpad[:, :, :oh, ow:] = 0
-        gpad[:, :, oh:] = 0
-    gpad = gpad.reshape(groups, cog, size)
-    krows = weight.reshape(groups, cog, cin_g, kh, kw)
-    tail = (kh - 1) // stride * wq + (kw - 1) // stride
-    gplanes = {}
-    for i in range(kh):
-        kmat = np.ascontiguousarray(krows[:, :, :, i]).reshape(groups, cog, -1)
-        gcols = np.matmul(kmat.transpose(0, 2, 1), gpad).reshape(cin, kw, size)
-        for j in range(kw):
-            phase = (i % stride, j % stride)
-            if phase not in gplanes:
-                gplanes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
-            off = i // stride * wq + j // stride
-            gplanes[phase][:, off:off + size] += gcols[:, j]
-    # the planes cover every padded pixel once all stride x stride phases
-    # exist and each reaches past the padded extent; otherwise the pixels no
-    # window reads get zero gradient
-    full = (kh >= stride and kw >= stride and hq * stride >= h + 2 * padding
-            and wq * stride >= w + 2 * padding)
-    gx_pad = (np.empty if full else np.zeros)(
-        (n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    # a plane row or column past the padded input holds only padding zeros
-    for (pi, pj), plane in gplanes.items():
-        dst = gx_pad[:, :, pi::stride, pj::stride]
-        rows, cols = min(hq, dst.shape[2]), min(wq, dst.shape[3])
-        src = plane[:, :size].reshape(cin, n, hq, wq)[:, :, :rows, :cols]
-        dst[:, :, :rows, :cols] = src.transpose(1, 0, 2, 3)
-    grad_x = gx_pad[:, :, padding:padding + h, padding:padding + w]
+    # gq's zero rows add exact zeros; what lands on the padding, the tail
+    # or the next frame's top rows is padding, which the adjoint drops
+    gplanes = np.zeros_like(planes)
+    part = None
+    for krow, window in zip(_kernel_rows(weight, groups),
+                            _row_windows(gplanes, kh, stride, ow, groups)):
+        part = np.matmul(krow.transpose(0, 2, 1), gq, out=part)
+        window += part
+    grad_x = _row_planes_adjoint(gplanes, x.shape, kh, stride, padding)
     return grad_x, grad_w, grad_bias
 
 

@@ -268,6 +268,11 @@ def _run_training(model_cfg, train_cfg, train_records, root, epochs,
                   stop_at_top1=None):
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    for rec in train_records + (val_records or []):
+        if rec["label"] >= model_cfg.num_classes:
+            raise ValueError(
+                f"record {rec['id']!r} has label {rec['label']}, but the model "
+                f"has {model_cfg.num_classes} classes")
     if init_from is not None:
         model, _, header = load_checkpoint(init_from)
         if header["model_config"] != model_cfg.to_dict():

@@ -54,6 +54,21 @@ class TestGenData:
         b = (tmp_path / "manifest.jsonl").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--val-ratio", "1.5", "--val-ratio must be in (0, 1), got 1.5"),
+        ("--val-ratio", "0", "--val-ratio must be in (0, 1), got 0.0"),
+        ("--test-ratio", "1.0", "--test-ratio must be in [0, 1), got 1.0"),
+        ("--test-ratio", "-0.1", "--test-ratio must be in [0, 1), got -0.1"),
+    ])
+    def test_bad_ratio_writes_nothing(self, tmp_path, capsys, flag, value,
+                                      message):
+        out = tmp_path / "ds"
+        rc = cli.main(["gen-data", "--out", str(out), "--classes", "2",
+                       "--clips-per-class", "2", flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestTrainPredict:
     def test_checkpoint_and_log_written(self, trained):
@@ -412,6 +427,26 @@ class TestErrorPaths:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: batch_size must be >= 1, got {batch_size}"]
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--phase", "2"],
+                                       ["--batch-size", "1"]])
+    def test_label_outside_model_classes(self, tmp_path, capsys, extra):
+        ds = tmp_path / "ds"
+        assert cli.main(["gen-data", "--out", str(ds), "--classes", "3",
+                         "--clips-per-class", "3"]) == 0
+        manifest = ds / "manifest.jsonl"
+        first = next(r for r in map(json.loads,
+                                    manifest.read_text().splitlines())
+                     if r["modality"] == "ir" and r["label"] == 2)
+        capsys.readouterr()
+        ckpt = tmp_path / "ir.ckpt"
+        rc = cli.main(["train", "--data", str(manifest), "--out", str(ckpt),
+                       "--classes", "2", "--epochs", "1"] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: record {first['id']!r} has label 2, but the model has "
+            f"2 classes"]
         assert not ckpt.exists()
 
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):

@@ -108,8 +108,11 @@ def formula_affine_norm_backward(cache, grad_out):
 
 
 def scatter_grad_x(x, weight, grad_out, stride, padding, groups):
-    """Input gradient of conv2d through one strided scatter per kernel
-    position into the padded input: the col2im oracle."""
+    """Input gradient of conv2d through strided scatters into the padded
+    input, in the order of the adjoint of the row-phase forward: for each
+    row phase a and kernel column j, the kernel rows of phase a are summed
+    into a zeroed buffer, which is then added into the input gradient. The
+    col2im oracle."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     _, _, oh, ow = grad_out.shape
@@ -121,51 +124,14 @@ def scatter_grad_x(x, weight, grad_out, stride, padding, groups):
     gcols = np.matmul(kmat.transpose(0, 2, 1), gmat).reshape(
         cin, kh, kw, n, oh, ow)
     gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), x.dtype)
-    for i in range(kh):
+    for a in range(min(stride, kh)):
         for j in range(kw):
-            window = gx_pad[:, :, i:i + stride * oh:stride,
-                            j:j + stride * ow:stride]
-            window += gcols[:, i, j].transpose(1, 0, 2, 3)
-    return gx_pad[:, :, padding:padding + h, padding:padding + w]
-
-
-def single_gemm_grad_x(x, weight, grad_out, stride, padding, groups):
-    """Input gradient of conv2d through stride-phase planes, with the
-    columns of every kernel position from one GEMM: the oracle for the
-    per-kernel-row GEMMs of conv2d_backward, which must match it bit for
-    bit."""
-    n, cin, h, w = x.shape
-    cout, _, kh, kw = weight.shape
-    _, _, oh, ow = grad_out.shape
-    cog = cout // groups
-    gmat = np.ascontiguousarray(
-        grad_out.reshape(n, groups, cog, oh, ow).transpose(1, 2, 0, 3, 4)
-    ).reshape(groups, cog, n * oh * ow)
-    hq = oh + (kh - 1) // stride
-    wq = ow + (kw - 1) // stride
-    size = n * hq * wq
-    gpad = gmat
-    if (hq, wq) != (oh, ow):
-        gpad = np.zeros((cout, n, hq, wq), dtype=gmat.dtype)
-        gpad[:, :, :oh, :ow] = gmat.reshape(cout, n, oh, ow)
-    kmat = weight.reshape(groups, cog, -1)
-    gcols = np.matmul(kmat.transpose(0, 2, 1), gpad.reshape(groups, cog, size))
-    gcols = gcols.reshape(cin, kh, kw, size)
-    tail = (kh - 1) // stride * wq + (kw - 1) // stride
-    planes = {}
-    for i in range(kh):
-        for j in range(kw):
-            phase = (i % stride, j % stride)
-            if phase not in planes:
-                planes[phase] = np.zeros((cin, size + tail), dtype=x.dtype)
-            off = i // stride * wq + j // stride
-            planes[phase][:, off:off + size] += gcols[:, i, j]
-    gx_pad = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), x.dtype)
-    for (pi, pj), plane in planes.items():
-        dst = gx_pad[:, :, pi::stride, pj::stride]
-        rows, cols = min(hq, dst.shape[2]), min(wq, dst.shape[3])
-        src = plane[:, :size].reshape(cin, n, hq, wq)[:, :, :rows, :cols]
-        dst[:, :, :rows, :cols] = src.transpose(1, 0, 2, 3)
+            buf = np.zeros_like(gx_pad)
+            for i in range(a, kh, stride):
+                window = buf[:, :, i:i + stride * oh:stride,
+                             j:j + stride * ow:stride]
+                window += gcols[:, i, j].transpose(1, 0, 2, 3)
+            gx_pad += buf
     return gx_pad[:, :, padding:padding + h, padding:padding + w]
 
 
@@ -281,6 +247,46 @@ class TestIm2col:
                 # the padding zeros are +0.0, as np.pad writes them
                 np.testing.assert_array_equal(np.signbit(got),
                                               np.signbit(want))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_adjoint(self, batch):
+        """<_row_planes(x), P> == <x, _row_planes_adjoint(P)> in float64.
+        Given a plane gradient that, like conv2d_backward's, is zero outside
+        the first H' rows of each frame of every kernel row's window, the
+        pixels no conv window reads get exactly zero, and only they do."""
+        rng = np.random.default_rng(18)
+        kernels = [(k, k) for k in range(1, 6)] + [(1, 3), (3, 1), (2, 5),
+                                                   (5, 2), (4, 3)]
+        for h, w in [(5, 9), (7, 7), (9, 5), (1, 3)]:
+            x = rng.normal(size=(batch, 4, h, w))
+            pixel_ids = np.arange(1.0, x.size + 1).reshape(x.shape)
+            for (kh, kw), stride, padding in itertools.product(
+                    kernels, (1, 2, 3), (0, 1, 2)):
+                if kh > h + 2 * padding or kw > w + 2 * padding:
+                    continue
+                args = (kh, stride, padding)
+                msg = str((h, w, kh, kw, stride, padding))
+                planes = ops._row_planes(x, kh, kw, stride, padding)
+                p = rng.normal(size=planes.shape)
+                gx = ops._row_planes_adjoint(p, x.shape, *args)
+                assert gx.shape == x.shape and gx.flags.c_contiguous, msg
+                terms = float((np.abs(planes) * np.abs(p)).sum())
+                assert abs(float((planes * p).sum()) - float((x * gx).sum())) \
+                    <= 1e-12 * max(1.0, terms), msg
+
+                oh = (h + 2 * padding - kh) // stride + 1
+                ow = (w + 2 * padding - kw) // stride + 1
+                hq = ops._frame_rows(h, kh, stride, padding)
+                p = np.zeros_like(planes)
+                for i in range(kh):
+                    off = i // stride * ow
+                    window = p[i % stride, :, :, off:off + batch * hq * ow]
+                    window.reshape(4, kw, batch, hq, ow)[:, :, :, :oh] = \
+                        rng.normal(size=(4, kw, batch, oh, ow))
+                gx = ops._row_planes_adjoint(p, x.shape, *args)
+                read = np.isin(pixel_ids, window_im2col(
+                    pixel_ids, kh, kw, stride, padding, 1))
+                np.testing.assert_array_equal(gx != 0, read, err_msg=msg)
 
 
 class TestRowGemms:
@@ -461,7 +467,7 @@ class TestCol2im:
             g = rng.normal(size=out.shape).astype(dtype)
             gx, _, _ = ops.conv2d_backward(x, c.weight, g, *args)
             want = scatter_grad_x(x, c.weight, g, *args)
-            assert gx.dtype == want.dtype and gx.strides == want.strides
+            assert gx.dtype == want.dtype and gx.flags.c_contiguous
             np.testing.assert_array_equal(gx, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -479,11 +485,7 @@ class TestCol2im:
         gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups)
         want = scatter_grad_x(x, w, g, stride, padding, groups)
         assert gx.shape == x.shape and gx.dtype == want.dtype
-        eps = np.finfo(dtype).eps
-        np.testing.assert_allclose(gx, want, rtol=16 * eps,
-                                   atol=16 * eps * np.abs(want).max())
-        np.testing.assert_array_equal(gx == 0, want == 0)
-
+        np.testing.assert_array_equal(gx, want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("groups", [1, 2, 4])
@@ -492,6 +494,9 @@ class TestCol2im:
     ])
     def test_row_gemms_equal_single_gemm(self, k, stride, padding, groups,
                                          dtype):
+        """Given the forward's planes, the kernel-row GEMMs of the input
+        gradient give the bits of the oracle's one GEMM over every kernel
+        position."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
         w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
@@ -499,7 +504,7 @@ class TestCol2im:
         g = rng.normal(size=out.shape).astype(dtype)
         gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups,
                                        planes=planes)
-        want = single_gemm_grad_x(x, w, g, stride, padding, groups)
+        want = scatter_grad_x(x, w, g, stride, padding, groups)
         assert gx.dtype == want.dtype
         np.testing.assert_array_equal(gx, want)
 
