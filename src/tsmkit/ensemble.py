@@ -115,10 +115,17 @@ def _fuse(probs, weights, ids):
     return total
 
 
-def _label_array(ids, labels_by_id):
+def _label_array(ids, labels_by_id, num_classes):
+    """The labels of ids, in order. A missing label, or one that is not a
+    class of the num_classes the predictions have, raises ValueError."""
     missing = [v for v in ids if v not in labels_by_id]
     if missing:
         raise ValueError(f"missing labels for ids: {missing[:5]}")
+    for v in ids:
+        if not 0 <= labels_by_id[v] < num_classes:
+            raise ValueError(
+                f"video {v!r} has label {labels_by_id[v]}, but the "
+                f"predictions have {num_classes} classes")
     return np.array([labels_by_id[v] for v in ids])
 
 
@@ -129,7 +136,7 @@ def topk_accuracy(preds, labels_by_id, k):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    labels = _label_array(preds.ids, labels_by_id)
+    labels = _label_array(preds.ids, labels_by_id, preds.probs.shape[1])
     topk = np.argsort(-preds.probs, axis=1, kind="stable")[:, :k]
     hits = int((topk == labels[:, None]).any(axis=1).sum())
     return hits / len(preds.ids)
@@ -194,8 +201,8 @@ def search_weights(members, labels_by_id, step=0.05):
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive number, got {step}")
     _check_members([(m, 1.0) for m in members])
-    labels = _label_array(members[0].ids, labels_by_id)
     n, k = members[0].probs.shape
+    labels = _label_array(members[0].ids, labels_by_id, k)
     k5 = min(5, k)
     grid = list(_simplex_grid(len(members), step))  # lexicographic order
     weights = np.array(grid)

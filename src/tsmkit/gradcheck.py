@@ -39,15 +39,15 @@ def _check_conv(rng, x_shape, w_shape, **conv_args):
     x = rng.normal(size=x_shape)
     w = rng.normal(size=w_shape)
     b = rng.normal(size=w_shape[0])
-    p = _proj(rng, ops.conv2d(x, w, b, **conv_args)[0].shape)
+    p = _proj(rng, ops.conv2d(x, w, b, **conv_args).shape)
     gx, gw, gb = ops.conv2d_backward(x, w, p, **conv_args)
     errs = [
         max_rel_error(gx, numerical_gradient(
-            lambda v: float((ops.conv2d(v, w, b, **conv_args)[0] * p).sum()), x)),
+            lambda v: float((ops.conv2d(v, w, b, **conv_args) * p).sum()), x)),
         max_rel_error(gw, numerical_gradient(
-            lambda v: float((ops.conv2d(x, v, b, **conv_args)[0] * p).sum()), w)),
+            lambda v: float((ops.conv2d(x, v, b, **conv_args) * p).sum()), w)),
         max_rel_error(gb, numerical_gradient(
-            lambda v: float((ops.conv2d(x, w, v, **conv_args)[0] * p).sum()), b)),
+            lambda v: float((ops.conv2d(x, w, v, **conv_args) * p).sum()), b)),
     ]
     return max(errs)
 

@@ -53,7 +53,8 @@ def _he_init(rng, shape, fan_in, dtype):
 class _Layer:
     """A layer's parameters are the arrays params() names; each has a
     gradient buffer, the attribute "g" + its name. _cache holds what the
-    last recording forward left for backward."""
+    last recording forward left for backward, which takes it out: each
+    array is freed once its backward has read it."""
 
     _cache = None
 
@@ -72,21 +73,14 @@ class Conv2d(_Layer):
         self.gbias = np.zeros_like(self.bias)
 
     def forward(self, x, train=True):
-        out, planes = ops.conv2d(x, self.weight, self.bias, self.stride,
-                                 self.padding, self.groups)
-        # given the planes, the backward reads x for its shape and dtype
-        # only: keep a zero-strided stand-in, not the activation. The last
-        # step's planes are freed only now, after the new ones are built:
-        # freed first, a large-preset step page-faulted 24 times as often.
-        self._cache = ((np.broadcast_to(x.dtype.type(0), x.shape), planes)
-                       if train else None)
-        return out
+        self._cache = x if train else None  # the backward rebuilds its planes
+        return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding,
+                          self.groups)
 
     def backward(self, g, need_grad_x=True):
-        x, planes = self._cache
+        x, self._cache = self._cache, None
         gx, gw, gb = ops.conv2d_backward(x, self.weight, g, self.stride,
                                          self.padding, self.groups,
-                                         planes=planes,
                                          need_grad_x=need_grad_x)
         self.gweight += gw
         self.gbias += gb
@@ -111,7 +105,8 @@ class AffineNorm(_Layer):
         return out
 
     def backward(self, g):
-        gx, gs, gb = ops.affine_norm_backward(self._cache, g)
+        cache, self._cache = self._cache, None
+        gx, gs, gb = ops.affine_norm_backward(cache, g)
         self.gscale += gs
         self.gshift += gb
         return gx
@@ -133,7 +128,8 @@ class Linear(_Layer):
         return ops.linear(x, self.weight, self.bias)
 
     def backward(self, g):
-        gx, gw, gb = ops.linear_backward(self._cache, self.weight, g)
+        x, self._cache = self._cache, None
+        gx, gw, gb = ops.linear_backward(x, self.weight, g)
         self.gweight += gw
         self.gbias += gb
         return gx
@@ -149,6 +145,8 @@ class ResidualBlock:
     projection convolution on the identity. The branch's final norm scale is
     zero-initialized so a freshly built block is the identity map.
     """
+
+    _cache = None  # the ReLU's mask, from a recording forward
 
     def __init__(self, rng, in_ch, out_ch, stride, groups, shift_cfg,
                  dtype=np.float32):
@@ -172,9 +170,10 @@ class ResidualBlock:
         return branch
 
     def backward(self, g):
+        relu_mask, self._cache = self._cache, None
         gb = self.norm2.backward(g)
         gb = self.conv2.backward(gb)
-        gb = ops.relu_backward(self._cache, gb)
+        gb = ops.relu_backward(relu_mask, gb)
         gb = self.norm1.backward(gb)
         gb = self.conv1.backward(gb)
         if self.shift_cfg:
@@ -220,8 +219,10 @@ class Model:
     def forward(self, frames, train=True, dropout_mask=None):
         """Frames [N*T, C, H, W] -> clip logits [N, num_classes]. A training
         forward records what backward reads and drops pooled features by
-        dropout_mask (see draw_dropout_mask); None drops nothing. An eval
-        forward keeps nothing.
+        dropout_mask (see draw_dropout_mask); None drops nothing. The stem
+        conv records frames of the model's dtype as they are, not a copy,
+        so a training forward reads its frames again in its backward:
+        change them only after that. An eval forward keeps nothing.
 
         An eval forward runs the network one clip of T frames at a time. The
         norm is per frame and the shift stays inside a clip, so a clip's
@@ -267,10 +268,11 @@ class Model:
     def backward(self, grad_logits, need_grad_x=False):
         """Accumulates parameter gradients from d(loss)/d(clip logits) of
         the last training forward and returns the gradient w.r.t. its input
-        frames if need_grad_x, else None."""
+        frames if need_grad_x, else None. It frees what that forward
+        recorded, so a second backward raises."""
         if self._cache is None:
             raise ValueError("backward needs a training forward first")
-        relu_mask, pool_shape, mask = self._cache
+        (relu_mask, pool_shape, mask), self._cache = self._cache, None
         t = self.cfg.num_segments
         n, k = grad_logits.shape
         g = np.broadcast_to(grad_logits[:, None, :], (n, t, k)).reshape(n * t, k) / t

@@ -120,12 +120,11 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
     """Cross-correlation of x [N,C_in,H,W] with weight [C_out,C_in/groups,kH,kW].
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
-    Returns (out, planes): planes are x's _row_planes, from which
-    conv2d_backward computes the weight gradient. The output is kH GEMMs
-    batched over groups, one per kernel row, each over its window of the
-    planes (as in MEC; Cho & Brand, arXiv 1706.06873), summed in kernel-row
-    order. Each frame's hq - H' extra output rows read across into the next
-    frame and are dropped.
+    The output is kH GEMMs batched over groups, one per kernel row, each
+    over its window of x's _row_planes (as in MEC; Cho & Brand, arXiv
+    1706.06873), summed in kernel-row order. Each frame's hq - H' extra
+    output rows read across into the next frame and are dropped. The planes
+    are dropped on return; conv2d_backward builds them again from x.
     """
     x = _as_float(x)
     weight = _as_float(weight)
@@ -167,16 +166,17 @@ def conv2d(x, weight, bias, stride=1, padding=0, groups=1):
         out_g[...] = res
     else:  # one transposed pass writes the sum plus the bias
         np.add(res, bias, out=out_g)
-    return out, planes
+    return out
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
-                    planes=None, need_grad_x=True):
+                    need_grad_x=True):
     """Gradients of conv2d w.r.t. (input, weight, bias).
 
-    planes are x's _row_planes, as conv2d returns them; without them the
-    backward builds them from x, and with them x is read only for its shape
-    and dtype. The upstream gradient is laid out like the forward's output
+    It builds x's _row_planes again, bit for bit the forward's, with one
+    strided copy of x per row phase and kernel column: cheaper to redo than
+    to keep, since a stride-1 3x3 conv's planes take about 3.2 times x's
+    bytes. The upstream gradient is laid out like the forward's output
     rows, [G, cog, N*hq*W'], with zeros in each frame's rows H'..hq-1. The
     weight gradient of kernel row i is one GEMM of it against the plane
     window conv2d's row i read; the zero rows cancel the window's reads
@@ -202,8 +202,7 @@ def conv2d_backward(x, weight, grad_out, stride=1, padding=0, groups=1,
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     cog = cout // groups
-    if planes is None:
-        planes = _row_planes(x, kh, kw, stride, padding)
+    planes = _row_planes(x, kh, kw, stride, padding)
     hq = _frame_rows(h, kh, stride, padding)
     gq = np.empty((groups, cog, n, hq, ow), dtype=grad_out.dtype)
     gq[:, :, :, :oh] = grad_out.reshape(n, groups, cog, oh, ow).transpose(

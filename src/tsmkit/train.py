@@ -43,8 +43,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got "
+                             f"{self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -231,16 +236,28 @@ def _train_step(model, replica, frames, labels, drop_seed, pool=None):
     return logits, ops.cross_entropy(ops.softmax(logits), labels)
 
 
-def _share_malloc_arena():
-    """Caps glibc at one malloc arena, so that a thread started after this
-    allocates from the main thread's arena. In an arena of its own, the
-    memory the step worker frees stays apart from the main thread's:
-    training the `large` preset on RGB clips peaked at 298-332 MB RSS
-    against 294 MB in one pass, and at 293-296 MB with the cap, at the same
-    speed. The cap holds for the rest of the process. Does nothing off
-    glibc."""
+def _set_malloc_policy():
+    """glibc's malloc settings for training, for the rest of the process;
+    nothing off glibc.
+
+    One arena (M_ARENA_MAX), so that a thread started after this allocates
+    from the main thread's arena. In an arena of its own, the memory the
+    step worker frees stays apart from the main thread's: training the
+    `large` preset on RGB clips peaked at 298-332 MB RSS against 294 MB in
+    one pass, and at 293-296 MB with the cap, at the same speed.
+
+    Fixed mmap and trim thresholds (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD):
+    each backward frees its layer's caches, and the next forward allocates
+    them again. With glibc's moving mmap threshold and 128 KiB trim, that
+    memory went back to the kernel and was faulted in again every step: a
+    64-frame `large` step, halves in turn, took a median 53k minor faults
+    and 72 ms of system time, and at most 2 faults and 4 ms with these."""
     if platform.libc_ver()[0] == "glibc":
-        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(-8, 1)  # M_ARENA_MAX
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def _second_core(pinned):
@@ -252,13 +269,14 @@ def _second_core(pinned):
 
 @contextlib.contextmanager
 def _step_worker():
-    """Holds the BLAS at one thread and yields a one-worker pool for half 1
-    of each step, or None (halves in turn) without a second core."""
+    """Sets the malloc policy, holds the BLAS at one thread and yields a
+    one-worker pool for half 1 of each step, or None (halves in turn)
+    without a second core."""
+    _set_malloc_policy()
     with blas.threads(1) as pinned:
         if not _second_core(pinned):
             yield None
             return
-        _share_malloc_arena()
         with ThreadPoolExecutor(max_workers=1) as pool:
             yield pool
 

@@ -449,6 +449,47 @@ class TestErrorPaths:
             f"2 classes"]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("command", ["ensemble", "eval", "report"])
+    def test_label_outside_prediction_classes(self, tmp_path, capsys,
+                                              command):
+        ds = tmp_path / "ds"
+        assert cli.main(["gen-data", "--out", str(ds), "--classes", "3",
+                         "--clips-per-class", "3"]) == 0
+        manifest = ds / "manifest.jsonl"
+        val = [r for r in map(json.loads, manifest.read_text().splitlines())
+               if r["split"] == "val" and r["modality"] == "ir"]
+        first = next(r["id"] for r in val if r["label"] == 2)
+        preds = tmp_path / "p.jsonl"
+        PredictionSet([r["id"] for r in val],
+                      np.full((len(val), 2), 0.5)).save(preds)
+        args = {"ensemble": ["ensemble", "--preds", str(preds), str(preds),
+                             "--search", "--out", str(tmp_path / "e.jsonl")],
+                "eval": ["eval", "--preds", str(preds)],
+                "report": ["report", "--row", f"ir={preds}"]}[command]
+        capsys.readouterr()
+        rc = cli.main(args + ["--data", str(manifest)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: video {first!r} has label 2, but the predictions have "
+            f"2 classes"]
+        assert not (tmp_path / "e.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "lr must be finite and >= 0, got nan"),
+        ("--momentum", "nan", "momentum must be in [0, 1), got nan"),
+        ("--weight-decay", "-1", "weight_decay must be finite and >= 0, got "
+                                 "-1.0"),
+    ])
+    def test_bad_optimizer_flag(self, tiny_dataset, tmp_path, capsys, flag,
+                                value, message):
+        ckpt = tmp_path / "ir.ckpt"
+        rc = cli.main(["train", "--data", str(tiny_dataset / "manifest.jsonl"),
+                       "--out", str(ckpt), "--classes", "2", "--epochs", "1",
+                       flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not ckpt.exists()
+
     def test_weight_count_mismatch(self, trained, tmp_path, capsys):
         ds, _, ckpt = trained
         preds = tmp_path / "p.jsonl"

@@ -181,6 +181,20 @@ class TestTopkAccuracy:
         with pytest.raises(ValueError, match="missing labels"):
             topk_accuracy(preds, {"other": 0}, 1)
 
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_classes(self, label):
+        # neither counted as a miss nor used as an index
+        members = [pset([[0.5, 0.5], [0.9, 0.1]])] * 2
+        labels = {"v0": 0, "v1": label}
+        message = (f"video 'v1' has label {label}, but the predictions have "
+                   f"2 classes")
+        with pytest.raises(ValueError) as info:
+            topk_accuracy(members[0], labels, 1)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            search_weights(members, labels)
+        assert str(info.value) == message
+
 
 class TestSearchWeights:
     def _labeled(self, rng, n=20, k=5):

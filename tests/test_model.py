@@ -261,10 +261,18 @@ class TestEvalForwardCaches:
         convs = [layer for layer in layers if isinstance(layer, Conv2d)]
         m.forward(frames, train=True,
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
-        assert all(c._cache[1] is not None for c in convs)  # the planes
+        assert all(c._cache is not None for c in convs)  # their inputs
         m.forward(frames, train=False)
         for obj in (m, *m.blocks, *layers):
             assert obj._cache is None, obj
+
+    def test_second_backward_raises(self):
+        # the first backward frees what the training forward recorded
+        m = self.small()
+        m.forward(self.frames(16))
+        m.backward(np.zeros((2, 5), np.float32))
+        with pytest.raises(ValueError, match="training forward"):
+            m.backward(np.zeros((2, 5), np.float32))
 
     def test_backward_after_eval_raises(self):
         m = self.small()
@@ -306,8 +314,8 @@ class TestEvalForwardCaches:
 
 class TestEvalBuildsNoColumns:
     """Each conv runs its kernel-row GEMMs over its row-phase planes. An
-    eval forward keeps none of them; a recording forward keeps the planes
-    conv2d returned, not a column matrix built from them."""
+    eval forward keeps nothing; a recording forward keeps each conv's
+    input, the array it gave conv2d, not planes or columns built from it."""
 
     @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
     def test_eval_forward_never_fills_columns(self, capacity, in_ch,
@@ -317,17 +325,17 @@ class TestEvalBuildsNoColumns:
         rng = np.random.default_rng(5)
         frames = rng.random((16, in_ch, RESOLUTION, RESOLUTION),
                             dtype=np.float32)
-        returned = []
+        given = []
 
-        def conv2d(*args, _conv2d=ops.conv2d):
-            out, planes = _conv2d(*args)
-            returned.append(planes)
-            return out, planes
+        def conv2d(x, *args, _conv2d=ops.conv2d):
+            given.append(x)
+            return _conv2d(x, *args)
         monkeypatch.setattr(ops, "conv2d", conv2d)
         convs = [layer for _, layer in m._named_layers()
                  if isinstance(layer, Conv2d)]
         m.forward(frames, train=True)
-        assert [c._cache[1] for c in convs] == returned
+        assert len(given) == len(convs)
+        assert all(c._cache is x for c, x in zip(convs, given))
         logits = m.forward(frames, train=False)
         assert logits.shape == (2, 5) and np.isfinite(logits).all()
         assert all(c._cache is None for c in convs)
@@ -343,8 +351,8 @@ def _flat_arrays(obj):
 
 class TestTrainingForwardCaches:
     """A training forward keeps only what its backward reads: each conv's
-    row-phase planes and a shape stand-in for its input, the norm caches,
-    the ReLU masks, the dropout mask and the head's input."""
+    input, the norm caches, the ReLU masks, the dropout mask and the head's
+    input."""
 
     @staticmethod
     def record(capacity, in_ch, n=16, dtype=np.float32):
@@ -355,26 +363,25 @@ class TestTrainingForwardCaches:
         return m, frames
 
     @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
-    def test_conv_caches_hold_no_activation(self, capacity, in_ch,
-                                            monkeypatch):
+    def test_conv_caches_hold_only_their_input(self, capacity, in_ch,
+                                               monkeypatch):
         m, frames = self.record(capacity, in_ch)
-        activations = [frames]
-        for cls in (Conv2d, AffineNorm):
-            def traced(layer, x, train=True, _forward=cls.forward):
-                out = _forward(layer, x, train)
-                activations.extend((x, out))
-                return out
-            monkeypatch.setattr(cls, "forward", traced)
+        given = []
+
+        def conv2d(x, *args, _conv2d=ops.conv2d):
+            given.append(x)
+            return _conv2d(x, *args)
+        monkeypatch.setattr(ops, "conv2d", conv2d)
         m.forward(frames, train=True,
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
+        # the convs run in the order _named_layers gives them
         convs = [layer for _, layer in m._named_layers()
                  if isinstance(layer, Conv2d)]
-        for conv in convs:
-            stand_in, planes = conv._cache
-            assert stand_in.strides == (0,) * stand_in.ndim
-            for a in activations:
-                assert not np.shares_memory(stand_in, a)
-                assert not np.shares_memory(planes, a)
+        assert len(given) == len(convs)
+        for conv, x in zip(convs, given):
+            assert type(conv._cache) is np.ndarray and conv._cache is x
+        # the stem records the caller's frames, not a copy
+        assert convs[0]._cache is frames
 
     def test_masks_are_bool(self):
         m, frames = self.record("small", 1)
@@ -394,15 +401,12 @@ class TestTrainingForwardCaches:
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
         item = np.dtype(dtype).itemsize
 
-        def conv(layer, c, h, w):  # (plane bytes, output c, h, w)
+        def conv(layer, c, h, w):  # (input bytes, output c, h, w)
             cout, _, k, _ = layer.weight.shape
             s, p = layer.stride, layer.padding
             oh = (h + 2 * p - k) // s + 1
             ow = (w + 2 * p - k) // s + 1
-            hq = ops._frame_rows(h, k, s, p)
-            tail = (k - 1) // s * ow
-            planes = min(s, k) * c * k * (n * hq * ow + tail) * item
-            return planes, cout, oh, ow
+            return n * c * h * w * item, cout, oh, ow
 
         def norm(c, h, w):  # xhat and 1/std per (frame, group)
             return n * c * h * w * item + n * (c // 4) * item
@@ -410,8 +414,10 @@ class TestTrainingForwardCaches:
         want, c, h, w = conv(m.stem_conv, in_ch, RESOLUTION, RESOLUTION)
         want += norm(c, h, w) + n * c * h * w  # and a bool ReLU mask
         for blk in m.blocks:
-            planes, c1, h1, w1 = conv(blk.conv1, c, h, w)
-            want += planes + norm(c1, h1, w1) + n * c1 * h1 * w1
+            # conv1 reads the shifted copy of the block's input, which the
+            # projection reads unshifted
+            shifted, c1, h1, w1 = conv(blk.conv1, c, h, w)
+            want += shifted + norm(c1, h1, w1) + n * c1 * h1 * w1
             want += conv(blk.conv2, c1, h1, w1)[0] + norm(c1, h1, w1)
             if blk.proj:
                 want += conv(blk.proj, c, h, w)[0]
@@ -419,13 +425,12 @@ class TestTrainingForwardCaches:
         want += 2 * n * c * item  # dropout mask and the head's input
 
         params = [id(p) for p in m.named_parameters().values()]
-        held = 0
+        held = {}
         for obj in (m, *m.blocks, *(layer for _, layer in m._named_layers())):
             for a in _flat_arrays(obj._cache):
-                if id(a) in params or a.strides == (0,) * a.ndim:
-                    continue  # a norm's scale, a conv's shape stand-in
-                held += a.nbytes
-        assert held == want
+                if id(a) not in params:  # a norm's scale
+                    held[id(a)] = a.nbytes
+        assert sum(held.values()) == want
 
 
 def test_presets_sane():

@@ -139,7 +139,7 @@ class TestConv2d:
     def test_all_ones_sums_kernel(self):
         x = np.ones((1, 1, 3, 3))
         w = np.ones((1, 1, 3, 3))
-        out, _ = ops.conv2d(x, w, np.zeros(1))
+        out = ops.conv2d(x, w, np.zeros(1))
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 9.0
 
@@ -147,7 +147,7 @@ class TestConv2d:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 1, 4, 4))
         w = np.ones((1, 1, 1, 1))
-        out, _ = ops.conv2d(x, w, np.zeros(1))
+        out = ops.conv2d(x, w, np.zeros(1))
         np.testing.assert_array_equal(out, x)
 
     def test_matches_naive_oracle(self):
@@ -155,7 +155,7 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 5, 5))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got, _ = ops.conv2d(x, w, b, stride=1, padding=1)
+        got = ops.conv2d(x, w, b, stride=1, padding=1)
         want = naive_conv2d(x, w, b, stride=1, padding=1)
         assert np.abs(got - want).max() < 1e-12 * max(1, np.abs(want).max())
 
@@ -169,7 +169,7 @@ class TestConv2d:
         x = rng.normal(size=shape)
         w = rng.normal(size=kshape)
         b = rng.normal(size=kshape[0])
-        got, _ = ops.conv2d(x, w, b, stride=stride, padding=padding)
+        got = ops.conv2d(x, w, b, stride=stride, padding=padding)
         want = naive_conv2d(x, w, b, stride=stride, padding=padding)
         assert np.abs(got - want).max() < 1e-12 * max(1, np.abs(want).max())
 
@@ -179,10 +179,10 @@ class TestConv2d:
         w = rng.normal(size=(8, 2, 3, 3))
         b = rng.normal(size=8)
         for stride in (1, 2):
-            got, _ = ops.conv2d(x, w, b, stride=stride, padding=1, groups=4)
+            got = ops.conv2d(x, w, b, stride=stride, padding=1, groups=4)
             parts = [
                 ops.conv2d(x[:, 2 * g:2 * g + 2], w[2 * g:2 * g + 2],
-                           b[2 * g:2 * g + 2], stride=stride, padding=1)[0]
+                           b[2 * g:2 * g + 2], stride=stride, padding=1)
                 for g in range(4)
             ]
             np.testing.assert_allclose(got, np.concatenate(parts, axis=1),
@@ -217,8 +217,8 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        a, _ = ops.conv2d(x, w, b, padding=1)
-        np.testing.assert_array_equal(a, ops.conv2d(x, w, b, padding=1)[0])
+        a = ops.conv2d(x, w, b, padding=1)
+        np.testing.assert_array_equal(a, ops.conv2d(x, w, b, padding=1))
 
 
 class TestIm2col:
@@ -305,7 +305,7 @@ class TestRowGemms:
                     continue
                 wt = rng.normal(size=(8, 4 // groups, kh, kw)).astype(dtype)
                 args = (stride, padding, groups)
-                got, _ = ops.conv2d(x, wt, None, *args)
+                got = ops.conv2d(x, wt, None, *args)
                 want = single_gemm_conv2d(x, wt, *args)
                 msg = str((h, w, kh, kw) + args)
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -335,9 +335,8 @@ class TestRowGemms:
         for c in convs:
             k = c.weight.shape[2]
             x = inputs[id(c)]
-            planes = c._cache[1]
-            np.testing.assert_array_equal(
-                planes, ops._row_planes(x, k, k, c.stride, c.padding))
+            assert c._cache is x  # the backward's planes are built from it
+            planes = ops._row_planes(c._cache, k, k, c.stride, c.padding)
             want = window_im2col(x, k, k, c.stride, c.padding, 1)
             np.testing.assert_array_equal(
                 plane_columns(planes, x.shape, k, c.stride, c.padding),
@@ -369,11 +368,11 @@ class TestConv2dBackward:
         gx, gw, gb = ops.conv2d_backward(x, w, p, padding=1)
         for analytic, arg, f in [
             (gx, x,
-             lambda v: float((ops.conv2d(v, w, b, padding=1)[0] * p).sum())),
+             lambda v: float((ops.conv2d(v, w, b, padding=1) * p).sum())),
             (gw, w,
-             lambda v: float((ops.conv2d(x, v, b, padding=1)[0] * p).sum())),
+             lambda v: float((ops.conv2d(x, v, b, padding=1) * p).sum())),
             (gb, b,
-             lambda v: float((ops.conv2d(x, w, v, padding=1)[0] * p).sum())),
+             lambda v: float((ops.conv2d(x, w, v, padding=1) * p).sum())),
         ]:
             assert max_rel_error(analytic, numerical_gradient(f, arg)) < 1e-5
 
@@ -385,20 +384,29 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("groups", [1, 4])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_cols_cache_identical(self, groups, stride):
-        """The forward's planes, given to the backward, and planes the
-        backward builds from x give the same bits."""
+    def test_cols_cache_identical(self, groups, stride, monkeypatch):
+        """The planes the backward builds from x have the bits of the
+        forward's, and two backwards give the same bits."""
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 4 // groups, 3, 3))
-        out, planes = ops.conv2d(x, w, np.zeros(4), stride=stride, padding=1,
-                                 groups=groups)
+        built = []
+
+        def row_planes(*args, _row_planes=ops._row_planes):
+            built.append(_row_planes(*args))
+            return built[-1]
+        monkeypatch.setattr(ops, "_row_planes", row_planes)
+        out = ops.conv2d(x, w, np.zeros(4), stride=stride, padding=1,
+                         groups=groups)
         g = rng.normal(size=out.shape)
-        plain = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
+        first = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
                                     groups=groups)
-        cached = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
-                                     groups=groups, planes=planes)
-        for a, b in zip(plain, cached):
+        again = ops.conv2d_backward(x, w, g, stride=stride, padding=1,
+                                    groups=groups)
+        assert len(built) == 3
+        for planes in built[1:]:
+            np.testing.assert_array_equal(planes, built[0])
+        for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -409,8 +417,7 @@ class TestConv2dBackward:
         stride 1 and 2, groups 1 and 4, 1x1 projections): the weight
         gradient from the planes is the column GEMM gmat @ cols.T within
         4 ulp of the sum of its terms' magnitudes, since the kernel-row
-        GEMMs sum the same products in another order, and given planes and
-        planes built inside give the same bits."""
+        GEMMs sum the same products in another order."""
         model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
                                         capacity=capacity), dtype=dtype)
         rng = np.random.default_rng(17)
@@ -424,14 +431,11 @@ class TestConv2dBackward:
             "large": {(3, 2, 1), (3, 1, 4), (3, 2, 4), (1, 2, 1)}}[capacity]
         eps = np.finfo(dtype).eps
         for c in convs:
-            x = rng.normal(size=c._cache[0].shape).astype(dtype)
+            x = rng.normal(size=c._cache.shape).astype(dtype)
             args = (c.stride, c.padding, c.groups)
-            out, planes = ops.conv2d(x, c.weight, None, *args)
+            out = ops.conv2d(x, c.weight, None, *args)
             g = rng.normal(size=out.shape).astype(dtype)
-            _, gw, _ = ops.conv2d_backward(x, c.weight, g, *args,
-                                           planes=planes)
-            _, built, _ = ops.conv2d_backward(x, c.weight, g, *args)
-            np.testing.assert_array_equal(gw, built)
+            _, gw, _ = ops.conv2d_backward(x, c.weight, g, *args)
             cog = c.weight.shape[0] // c.groups
             gmat = np.ascontiguousarray(g.reshape(
                 len(x), c.groups, cog, -1).transpose(1, 2, 0, 3)).reshape(
@@ -452,8 +456,7 @@ class TestCol2im:
         model = build_model(ModelConfig(num_classes=5, in_channels=in_ch,
                                         capacity=capacity), dtype=dtype)
         rng = np.random.default_rng(11)
-        # a training forward keeps each conv's input shape; grad_x does not
-        # depend on the input's values
+        # a training forward keeps each conv's input
         model.forward(rng.normal(size=(64, in_ch, 32, 32)).astype(dtype),
                       train=True)
         convs = [layer for _, layer in model._named_layers()
@@ -461,9 +464,9 @@ class TestCol2im:
         assert {(c.weight.shape[2], c.stride) for c in convs} == {
             (3, 1), (3, 2), (1, 2)}
         for c in convs:
-            x = c._cache[0]
+            x = c._cache
             args = (c.stride, c.padding, c.groups)
-            out, _ = ops.conv2d(x, c.weight, c.bias, *args)
+            out = ops.conv2d(x, c.weight, c.bias, *args)
             g = rng.normal(size=out.shape).astype(dtype)
             gx, _, _ = ops.conv2d_backward(x, c.weight, g, *args)
             want = scatter_grad_x(x, c.weight, g, *args)
@@ -480,7 +483,7 @@ class TestCol2im:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
         w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
-        out, _ = ops.conv2d(x, w, None, stride, padding, groups)
+        out = ops.conv2d(x, w, None, stride, padding, groups)
         g = rng.normal(size=out.shape).astype(dtype)
         gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups)
         want = scatter_grad_x(x, w, g, stride, padding, groups)
@@ -494,16 +497,14 @@ class TestCol2im:
     ])
     def test_row_gemms_equal_single_gemm(self, k, stride, padding, groups,
                                          dtype):
-        """Given the forward's planes, the kernel-row GEMMs of the input
-        gradient give the bits of the oracle's one GEMM over every kernel
-        position."""
+        """The kernel-row GEMMs of the input gradient give the bits of the
+        oracle's one GEMM over every kernel position."""
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 8, 8, 11)).astype(dtype)
         w = rng.normal(size=(8, 8 // groups, k, k)).astype(dtype)
-        out, planes = ops.conv2d(x, w, None, stride, padding, groups)
+        out = ops.conv2d(x, w, None, stride, padding, groups)
         g = rng.normal(size=out.shape).astype(dtype)
-        gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups,
-                                       planes=planes)
+        gx, _, _ = ops.conv2d_backward(x, w, g, stride, padding, groups)
         want = scatter_grad_x(x, w, g, stride, padding, groups)
         assert gx.dtype == want.dtype
         np.testing.assert_array_equal(gx, want)
@@ -512,10 +513,9 @@ class TestCol2im:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(2, 4, 6, 6))
         w = rng.normal(size=(4, 2, 3, 3))
-        out, planes = ops.conv2d(x, w, None, 2, 1, 2)
+        out = ops.conv2d(x, w, None, 2, 1, 2)
         g = rng.normal(size=out.shape)
-        gx, gw, gb = ops.conv2d_backward(x, w, g, 2, 1, 2, planes=planes,
-                                         need_grad_x=False)
+        gx, gw, gb = ops.conv2d_backward(x, w, g, 2, 1, 2, need_grad_x=False)
         _, want_w, want_b = ops.conv2d_backward(x, w, g, 2, 1, 2)
         assert gx is None
         np.testing.assert_array_equal(gw, want_w)

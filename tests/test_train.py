@@ -7,13 +7,14 @@ import json
 import os
 import signal
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from tsmkit import blas, data, ops, train
-from tsmkit.model import ModelConfig, build_model
+from tsmkit.model import Model, ModelConfig, build_model
 from tsmkit.train import (PredictionSet, TrainConfig, _train_step,
                           load_checkpoint, predict_model, save_checkpoint,
                           train_phase1, train_phase2)
@@ -74,6 +75,28 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"batch_size must be >= 1, got "
                                              f"{batch_size}"):
             TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", float("nan"), "lr must be finite and >= 0, got nan"),
+        ("lr", float("inf"), "lr must be finite and >= 0, got inf"),
+        ("momentum", float("nan"), "momentum must be in [0, 1), got nan"),
+        ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+        ("momentum", -0.1, "momentum must be in [0, 1), got -0.1"),
+        ("weight_decay", -1.0, "weight_decay must be finite and >= 0, got "
+                               "-1.0"),
+        ("weight_decay", float("nan"), "weight_decay must be finite and >= 0, "
+                                       "got nan"),
+        ("weight_decay", float("inf"), "weight_decay must be finite and >= 0, "
+                                       "got inf"),
+    ])
+    def test_bad_optimizer_setting(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
+
+    def test_edge_settings_allowed(self):
+        cfg = TrainConfig(lr=0.0, momentum=0.0, weight_decay=0.0)
+        assert (cfg.lr, cfg.momentum, cfg.weight_decay) == (0.0, 0.0, 0.0)
 
     def test_digest_depends_on_epochs_and_seed(self):
         cfg = TrainConfig()
@@ -196,15 +219,54 @@ class TestTwoHalfStep:
         assert all(not g.any() for g in replica.named_grads().values())
 
     @pytest.mark.parametrize("clips", [8, 3])
-    def test_dropout_mask_rows_of_one_pass(self, clips):
+    def test_dropout_mask_rows_of_one_pass(self, clips, monkeypatch):
         model, replica, frames, labels = step_batch("small", clips)
+        masks = []
+
+        def forward(net, frames, train=True, dropout_mask=None,
+                    _forward=Model.forward):
+            masks.append((net, dropout_mask))
+            return _forward(net, frames, train, dropout_mask)
+        monkeypatch.setattr(Model, "forward", forward)
         _train_step(model, replica, frames, labels, 11)
-        halves = np.concatenate([model._cache[2], replica._cache[2]])
         single = model.replica()
         single.forward(frames, train=True,
                        dropout_mask=single.draw_dropout_mask(len(frames), 11))
+        assert [net for net, _ in masks] == [model, replica, single]
+        halves = np.concatenate([masks[0][1], masks[1][1]])
         assert 0 < halves.mean() < 1
-        np.testing.assert_array_equal(halves, single._cache[2])
+        np.testing.assert_array_equal(halves, masks[2][1])
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("clips", [8, 1])
+    def test_step_leaves_no_cache(self, clips, threaded):
+        # every backward frees what its forward recorded
+        model, replica, frames, labels = step_batch("small", clips)
+        with blas.threads(1), ThreadPoolExecutor(max_workers=1) as pool:
+            _train_step(model, replica, frames, labels, 5,
+                        pool if threaded else None)
+        for net in (model, replica):
+            for obj in (net, *net.blocks,
+                        *(layer for _, layer in net._named_layers())):
+                assert obj._cache is None, obj
+
+    def test_step_memory(self):
+        """A warmed-up 8-clip `large` RGB step, halves in turn, frees all
+        it allocates. Its traced peak stays far below what it took when
+        every conv kept its row-phase planes until the next step: 109 MiB,
+        against 30 MiB now."""
+        model, replica, frames, labels = step_batch("large", 8, in_ch=3)
+        with blas.threads(1):
+            _train_step(model, replica, frames, labels, 5)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _train_step(model, replica, frames, labels, 5)
+                after, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak - before < 50 << 20, peak - before
+        assert after - before < 64 << 10, after - before
 
     @pytest.mark.parametrize("clips, submits", [(8, 1), (3, 1), (1, 0)])
     def test_one_submit_per_step(self, clips, submits):
