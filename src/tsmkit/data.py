@@ -367,9 +367,12 @@ def read_json_rows(path, kind):
 
 def load_manifest(path):
     """The records of a JSON-lines manifest (read_json_rows). A row without
-    every key of MANIFEST_KEYS with a value of the right type raises a
-    one-line ValueError naming the file and line."""
+    every key of MANIFEST_KEYS with a value of the right type, a second row
+    of one id and modality, or a row whose label differs from its id's
+    first row raises a one-line ValueError naming the file and line."""
     records = []
+    first_line = {}  # (id, modality) -> the line it first appeared on
+    first_label = {}  # id -> (its label, the line that gave it)
     for lineno, rec in read_json_rows(path, "manifest"):
         missing = [k for k in MANIFEST_KEYS if k not in rec]
         if missing:
@@ -379,5 +382,16 @@ def load_manifest(path):
         problem = _value_error(rec)
         if problem:
             raise ValueError(f"{path}:{lineno}: {problem}")
+        vid, modality = rec["id"], rec["modality"]
+        if (vid, modality) in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate {modality} row of id {vid!r}, "
+                f"first on line {first_line[vid, modality]}")
+        first_line[vid, modality] = lineno
+        label, line = first_label.setdefault(vid, (rec["label"], lineno))
+        if rec["label"] != label:
+            raise ValueError(
+                f"{path}:{lineno}: id {vid!r} has label {rec['label']}, but "
+                f"label {label} on line {line}")
         records.append(rec)
     return records

@@ -6,7 +6,7 @@ blocks optionally apply the temporal shift to their branch input. Per-frame
 logits are averaged over the clip's segments before softmax.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,10 @@ CAPACITY_PRESETS = {
     "large": (32, [(32, 3, 4), (64, 3, 4), (128, 3, 4)]),
 }
 
+# a ModelConfig field's annotation -> (the types it takes, their name)
+_FIELD_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                bool: (bool, "a bool"), str: (str, "a string")}
+
 
 @dataclass
 class ModelConfig:
@@ -33,10 +37,15 @@ class ModelConfig:
     fold_div: int = 8
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.num_segments < 1:
-            raise ValueError(f"num_segments must be >= 1, got {self.num_segments}")
+        for f in fields(self):  # of its annotated type; a bool is no number
+            value, (kinds, what) = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, kinds) \
+                    or isinstance(value, bool) != (f.type is bool):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        for name, low in (("num_classes", 2), ("in_channels", 1), ("num_segments", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.capacity not in CAPACITY_PRESETS:
@@ -51,91 +60,86 @@ def _he_init(rng, shape, fan_in, dtype):
 
 
 class _Layer:
-    """A layer's parameters are the arrays params() names; each has a
-    gradient buffer, the attribute "g" + its name. _cache holds what the
-    last recording forward left for backward, which takes it out: each
-    array is freed once its backward has read it."""
+    """A parametrised layer; every call of one passes through forward and
+    backward here. A subclass sets its parameters with _set_params and
+    gives one op pair: _forward(x) -> (out, what backward reads) and
+    _backward(cache, g, **kw) -> (grad_x, one gradient per parameter in
+    params() order). Each parameter has a gradient buffer, the attribute
+    "g" + its name, which backward adds into. _cache holds what the last
+    training forward left for backward, which takes it out: each array is
+    freed once its backward has read it."""
 
     _cache = None
 
+    def _set_params(self, **params):
+        self._names = tuple(params)
+        for name, p in params.items():
+            setattr(self, name, p)
+            setattr(self, "g" + name, np.zeros_like(p))
+
+    def params(self):
+        return {name: getattr(self, name) for name in self._names}
+
     def grads(self):
-        return {name: getattr(self, "g" + name) for name in self.params()}
+        return {name: getattr(self, "g" + name) for name in self._names}
+
+    def forward(self, x, train=True):
+        out, cache = self._forward(x)
+        self._cache = cache if train else None
+        return out
+
+    def backward(self, g, **kw):
+        cache, self._cache = self._cache, None
+        gx, *gparams = self._backward(cache, g, **kw)
+        for buf, gp in zip(self.grads().values(), gparams):
+            buf += gp
+        return gx
 
 
 class Conv2d(_Layer):
     def __init__(self, rng, in_ch, out_ch, k, stride=1, padding=0, groups=1,
                  dtype=np.float32):
         fan_in = (in_ch // groups) * k * k
-        self.weight = _he_init(rng, (out_ch, in_ch // groups, k, k), fan_in, dtype)
-        self.bias = np.zeros(out_ch, dtype=dtype)
+        self._set_params(
+            weight=_he_init(rng, (out_ch, in_ch // groups, k, k), fan_in, dtype),
+            bias=np.zeros(out_ch, dtype=dtype))
         self.stride, self.padding, self.groups = stride, padding, groups
-        self.gweight = np.zeros_like(self.weight)
-        self.gbias = np.zeros_like(self.bias)
 
-    def forward(self, x, train=True):
-        self._cache = x if train else None  # the backward rebuilds its planes
+    def _forward(self, x):  # the backward rebuilds its planes from x
         return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding,
-                          self.groups)
+                          self.groups), x
 
-    def backward(self, g, need_grad_x=True):
-        x, self._cache = self._cache, None
-        gx, gw, gb = ops.conv2d_backward(x, self.weight, g, self.stride,
-                                         self.padding, self.groups,
-                                         need_grad_x=need_grad_x)
-        self.gweight += gw
-        self.gbias += gb
-        return gx
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+    def _backward(self, x, g, need_grad_x=True):
+        return ops.conv2d_backward(x, self.weight, g, self.stride, self.padding,
+                                   self.groups, need_grad_x=need_grad_x)
 
 
 class AffineNorm(_Layer):
     def __init__(self, channels, dtype=np.float32, zero_scale=False):
         ops.norm_groups(channels)  # whole groups only
-        init = 0.0 if zero_scale else 1.0
-        self.scale = np.full(channels, init, dtype=dtype)
-        self.shift = np.zeros(channels, dtype=dtype)
-        self.gscale = np.zeros_like(self.scale)
-        self.gshift = np.zeros_like(self.shift)
+        self._set_params(
+            scale=np.full(channels, 0.0 if zero_scale else 1.0, dtype=dtype),
+            shift=np.zeros(channels, dtype=dtype))
 
-    def forward(self, x, train=True):
-        out, cache = ops.affine_norm(x, self.scale, self.shift)
-        self._cache = cache if train else None
-        return out
+    def _forward(self, x):
+        return ops.affine_norm(x, self.scale, self.shift)
 
-    def backward(self, g):
-        cache, self._cache = self._cache, None
-        gx, gs, gb = ops.affine_norm_backward(cache, g)
-        self.gscale += gs
-        self.gshift += gb
-        return gx
-
-    def params(self):
-        return {"scale": self.scale, "shift": self.shift}
+    def _backward(self, cache, g):
+        return ops.affine_norm_backward(cache, g)
 
 
 class Linear(_Layer):
     # gain < 1 keeps a freshly built classifier close to uniform output
     def __init__(self, rng, in_dim, out_dim, dtype=np.float32, gain=1.0):
-        self.weight = gain * _he_init(rng, (out_dim, in_dim), in_dim, dtype)
-        self.bias = np.zeros(out_dim, dtype=dtype)
-        self.gweight = np.zeros_like(self.weight)
-        self.gbias = np.zeros_like(self.bias)
+        self._set_params(
+            weight=gain * _he_init(rng, (out_dim, in_dim), in_dim, dtype),
+            bias=np.zeros(out_dim, dtype=dtype))
 
-    def forward(self, x, train=True):
-        self._cache = x if train else None
-        return ops.linear(x, self.weight, self.bias)
+    def _forward(self, x):
+        return ops.linear(x, self.weight, self.bias), x
 
-    def backward(self, g):
-        x, self._cache = self._cache, None
-        gx, gw, gb = ops.linear_backward(x, self.weight, g)
-        self.gweight += gw
-        self.gbias += gb
-        return gx
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+    def _backward(self, x, g):
+        return ops.linear_backward(x, self.weight, g)
 
 
 class ResidualBlock:
@@ -143,10 +147,10 @@ class ResidualBlock:
 
     The identity path is never shifted. Width or stride changes use a 1x1
     projection convolution on the identity. The branch's final norm scale is
-    zero-initialized so a freshly built block is the identity map.
+    zero-initialized so a freshly built block is the identity map. The
+    block keeps nothing of its own: its ReLU's output is conv2's input,
+    which conv2 records, and that is > 0 exactly where the ReLU's input is.
     """
-
-    _cache = None  # the ReLU's mask, from a recording forward
 
     def __init__(self, rng, in_ch, out_ch, stride, groups, shift_cfg,
                  dtype=np.float32):
@@ -162,7 +166,6 @@ class ResidualBlock:
     def forward(self, x, train=True):
         branch = temporal_shift(x, self.shift_cfg) if self.shift_cfg else x
         branch = self.norm1.forward(self.conv1.forward(branch, train), train)
-        self._cache = branch > 0 if train else None  # the ReLU's mask
         branch = ops.relu(branch)
         branch = self.norm2.forward(self.conv2.forward(branch, train), train)
         identity = self.proj.forward(x, train) if self.proj else x
@@ -170,8 +173,8 @@ class ResidualBlock:
         return branch
 
     def backward(self, g):
-        relu_mask, self._cache = self._cache, None
         gb = self.norm2.backward(g)
+        relu_mask = self.conv2._cache > 0  # before its backward takes it
         gb = self.conv2.backward(gb)
         gb = ops.relu_backward(relu_mask, gb)
         gb = self.norm1.backward(gb)
@@ -182,11 +185,9 @@ class ResidualBlock:
         return gid + gb
 
     def sublayers(self):
-        layers = {"conv1": self.conv1, "norm1": self.norm1,
-                  "conv2": self.conv2, "norm2": self.norm2}
-        if self.proj:
-            layers["proj"] = self.proj
-        return layers
+        layers = {"conv1": self.conv1, "norm1": self.norm1, "conv2": self.conv2,
+                  "norm2": self.norm2, "proj": self.proj}
+        return {name: layer for name, layer in layers.items() if layer}
 
 
 class Model:
@@ -283,19 +284,18 @@ class Model:
             g = block.backward(g)
         g = ops.relu_backward(relu_mask, g)
         g = self.stem_norm.backward(g)
-        return self.stem_conv.backward(g, need_grad_x)
+        return self.stem_conv.backward(g, need_grad_x=need_grad_x)
 
     def replica(self):
         """A model sharing this one's parameter arrays, so it sees every
         update to them, with its own per-call state and gradient buffers:
         the two can run forward and backward on two batches at once. It is
         built like any model, then each of its layers is pointed at this
-        model's parameter arrays."""
+        model's parameter arrays, with gradient buffers of its own."""
         twin = Model(self.cfg, dtype=self.dtype)
         for (_, layer), (_, twin_layer) in zip(self._named_layers(),
                                                twin._named_layers()):
-            for name, p in layer.params().items():
-                setattr(twin_layer, name, p)
+            twin_layer._set_params(**layer.params())
         return twin
 
     # ------------------------------------------------------------------

@@ -283,6 +283,29 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {ckpt}: unsupported checkpoint version 1"]
 
+    @pytest.mark.parametrize("change, message", [
+        ({"fold_div": 8.5}, "fold_div must be an integer, got 8.5"),
+        ({"shift_enabled": "no"}, "shift_enabled must be a bool, got 'no'"),
+    ])
+    def test_checkpoint_config_of_wrong_type(self, tiny_dataset, tmp_path,
+                                             capsys, change, message):
+        cfg = ModelConfig(num_classes=2, capacity="micro")
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, build_model(cfg), {}, 0, TrainConfig(), 1)
+        blob = ckpt.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 12)
+        header = json.loads(blob[16:16 + hlen])
+        header["model_config"].update(change)
+        header = json.dumps(header).encode()
+        ckpt.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + hlen:])
+        rc = cli.main(["predict", "--ckpt", str(ckpt), "--data",
+                       str(tiny_dataset / "manifest.jsonl"),
+                       "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {ckpt}: {message}"]
+
     @pytest.mark.parametrize("blob, message", [
         (b"TSMV1" + b"\x02\x00", "truncated clip header"),
         (b"TSMV1" + b"\xff\xff\xff\x7f" * 4 + b"\x00" * 64,
@@ -361,6 +384,14 @@ class TestErrorPaths:
           '"path": "a_ir.tsmv", "split": "train"}'],
          ':1: "label" must be an integer >= 0'),
         (["", '{"id": "\xe9"}'], ":2: not UTF-8 text"),
+        (['{"id": "a", "label": 0, "modality": "ir", "frames": 8, '
+          '"path": "a_ir.tsmv", "split": "val"}'] * 2,
+         ":2: duplicate ir row of id 'a', first on line 1"),
+        (['{"id": "a", "label": 0, "modality": "ir", "frames": 8, '
+          '"path": "a_ir.tsmv", "split": "val"}',
+          '{"id": "a", "label": 1, "modality": "rgb", "frames": 8, '
+          '"path": "a_rgb.tsmv", "split": "val"}'],
+         ":2: id 'a' has label 1, but label 0 on line 1"),
     ])
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_bad_manifest(self, trained, tmp_path, capsys, command, lines,

@@ -300,3 +300,33 @@ def test_manifest_value_types(tmp_path, change, message):
     with pytest.raises(ValueError) as err:
         data.load_manifest(path)
     assert str(err.value) == f"{path}:2: {message}"
+
+
+def _row(vid, modality, label=0):
+    return {"id": vid, "label": label, "modality": modality, "frames": 8,
+            "path": f"{vid}_{modality}.tsmv", "split": "train"}
+
+
+def test_manifest_id_in_both_modalities(tmp_path):
+    recs = [_row("a", "ir", 2), _row("b", "ir"), _row("a", "rgb", 2)]
+    path = tmp_path / "manifest.jsonl"
+    data.save_manifest(recs, path)
+    assert data.load_manifest(path) == recs
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([_row("a", "ir"), _row("b", "ir"), _row("a", "ir")],
+     "3: duplicate ir row of id 'a', first on line 1"),
+    ([_row("a", "rgb"), _row("a", "ir"), _row("a", "rgb")],
+     "3: duplicate rgb row of id 'a', first on line 1"),
+    ([_row("b", "ir"), _row("a", "ir", 1), _row("a", "rgb", 2)],
+     "3: id 'a' has label 2, but label 1 on line 2"),
+])
+def test_manifest_rows_of_one_id(tmp_path, rows, message):
+    # a repeated clip would train twice and be predicted twice; a second
+    # label would silently replace the first
+    path = tmp_path / "manifest.jsonl"
+    data.save_manifest(rows, path)
+    with pytest.raises(ValueError) as err:
+        data.load_manifest(path)
+    assert str(err.value) == f"{path}:{message}"

@@ -10,8 +10,9 @@ import pytest
 from tsmkit import ops
 from tsmkit.data import RESOLUTION
 from tsmkit.gradcheck import max_rel_error
-from tsmkit.model import (CAPACITY_PRESETS, AffineNorm, Conv2d, ModelConfig,
-                          build_model)
+from tsmkit.model import (CAPACITY_PRESETS, AffineNorm, Conv2d, Linear,
+                          ModelConfig, ResidualBlock, _Layer, build_model)
+from tsmkit.shift import ShiftConfig, temporal_shift, temporal_shift_backward
 
 
 def micro_config(**overrides):
@@ -263,8 +264,8 @@ class TestEvalForwardCaches:
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
         assert all(c._cache is not None for c in convs)  # their inputs
         m.forward(frames, train=False)
-        for obj in (m, *m.blocks, *layers):
-            assert obj._cache is None, obj
+        for obj in (m, *m.blocks, *layers):  # a block has no cache at all
+            assert getattr(obj, "_cache", None) is None, obj
 
     def test_second_backward_raises(self):
         # the first backward frees what the training forward recorded
@@ -351,8 +352,8 @@ def _flat_arrays(obj):
 
 class TestTrainingForwardCaches:
     """A training forward keeps only what its backward reads: each conv's
-    input, the norm caches, the ReLU masks, the dropout mask and the head's
-    input."""
+    input, the norm caches, the stem's ReLU mask, the dropout mask and the
+    head's input."""
 
     @staticmethod
     def record(capacity, in_ch, n=16, dtype=np.float32):
@@ -387,10 +388,11 @@ class TestTrainingForwardCaches:
         m, frames = self.record("small", 1)
         m.forward(frames, train=True,
                   dropout_mask=m.draw_dropout_mask(len(frames), 1))
-        relu_masks = [m._cache[0]] + [blk._cache for blk in m.blocks]
-        for mask in relu_masks:
-            assert mask.dtype == np.bool_
+        # the stem's ReLU mask is the only one: a block's is its conv2's
+        # recorded input > 0, taken in its backward
+        assert m._cache[0].dtype == np.bool_
         assert m._cache[0].shape == (16, 16, 16, 16)
+        assert not any(hasattr(blk, "_cache") for blk in m.blocks)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("capacity,in_ch", [("small", 1), ("large", 3)])
@@ -417,7 +419,7 @@ class TestTrainingForwardCaches:
             # conv1 reads the shifted copy of the block's input, which the
             # projection reads unshifted
             shifted, c1, h1, w1 = conv(blk.conv1, c, h, w)
-            want += shifted + norm(c1, h1, w1) + n * c1 * h1 * w1
+            want += shifted + norm(c1, h1, w1)  # and no ReLU mask
             want += conv(blk.conv2, c1, h1, w1)[0] + norm(c1, h1, w1)
             if blk.proj:
                 want += conv(blk.proj, c, h, w)[0]
@@ -427,10 +429,74 @@ class TestTrainingForwardCaches:
         params = [id(p) for p in m.named_parameters().values()]
         held = {}
         for obj in (m, *m.blocks, *(layer for _, layer in m._named_layers())):
-            for a in _flat_arrays(obj._cache):
+            for a in _flat_arrays(getattr(obj, "_cache", None)):
                 if id(a) not in params:  # a norm's scale
                     held[id(a)] = a.nbytes
         assert sum(held.values()) == want
+
+
+class TestLayerProtocol:
+    """Every parametrised layer runs _Layer's forward and backward around
+    its own op pair; a block keeps no state of its own."""
+
+    @pytest.mark.parametrize("cls", [Conv2d, AffineNorm, Linear])
+    def test_layers_run_the_shared_protocol(self, cls):
+        # identity, not absence from the class dict: a tracer that wrapped
+        # and restored a method leaves the original set on the class
+        for name in ("forward", "backward", "params", "grads"):
+            assert getattr(cls, name) is getattr(_Layer, name), name
+
+    def test_buffers_follow_params(self):
+        m = build_model(micro_config(), seed=0)
+        for _, layer in m._named_layers():
+            params, grads = layer.params(), layer.grads()
+            assert list(params) == list(grads)
+            for name, p in params.items():
+                g = grads[name]
+                assert g is getattr(layer, "g" + name)
+                assert g.shape == p.shape and g.dtype == p.dtype
+                assert not g.any()
+
+    @staticmethod
+    def block(seed, zero_signs):
+        rng = np.random.default_rng(seed)
+        blk = ResidualBlock(rng, 4, 8, 2, 1, ShiftConfig(3, 4))
+        blk.norm2.scale[:] = 0.5
+        if zero_signs:
+            # zero scale on two channels: a norm output of +0.0 or -0.0
+            # there, by the sign of its shift and normalised input
+            blk.norm1.scale[:2] = 0.0
+            blk.norm1.shift[:2] = [0.0, -0.0]
+        return blk
+
+    @pytest.mark.parametrize("zero_signs", [False, True])
+    def test_block_backward_equals_explicit_relu_mask(self, zero_signs):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(6, 4, 8, 8)).astype(np.float32)
+        g = rng.normal(size=(6, 8, 4, 4)).astype(np.float32)
+        blk = self.block(1, zero_signs)
+        out = blk.forward(x)
+        gx = blk.backward(g)
+
+        ref = self.block(1, zero_signs)  # the same parameters, by hand
+        cfg = ref.shift_cfg
+        branch = ref.norm1.forward(ref.conv1.forward(temporal_shift(x, cfg)))
+        if zero_signs:  # both signs of zero reach the ReLU
+            zeros = branch[branch == 0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        mask = branch > 0
+        branch = ref.norm2.forward(ref.conv2.forward(ops.relu(branch)))
+        np.testing.assert_array_equal(out, branch + ref.proj.forward(x))
+        gb = ops.relu_backward(mask, ref.conv2.backward(ref.norm2.backward(g)))
+        gb = ref.conv1.backward(ref.norm1.backward(gb))
+        want = ref.proj.backward(g) + temporal_shift_backward(gb, cfg)
+        np.testing.assert_array_equal(gx, want)
+        for (name, layer), ref_layer in zip(blk.sublayers().items(),
+                                            ref.sublayers().values()):
+            for k, grad in layer.grads().items():
+                np.testing.assert_array_equal(grad, ref_layer.grads()[k],
+                                              err_msg=f"{name}.{k}")
+            assert layer._cache is None, name
 
 
 def test_presets_sane():

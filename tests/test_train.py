@@ -248,7 +248,7 @@ class TestTwoHalfStep:
         for net in (model, replica):
             for obj in (net, *net.blocks,
                         *(layer for _, layer in net._named_layers())):
-                assert obj._cache is None, obj
+                assert getattr(obj, "_cache", None) is None, obj
 
     def test_step_memory(self):
         """A warmed-up 8-clip `large` RGB step, halves in turn, frees all
@@ -467,21 +467,48 @@ class TestCheckpoint:
     ])
     def test_bad_header(self, tmp_path, header, message):
         cfg = micro_model_cfg()
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, build_model(cfg), {}, 0, micro_train_cfg(), 1)
-        blob = path.read_bytes()
         if header is None:
             config = cfg.to_dict()
             config.update({"colour": 1} if "colour" in message
                           else {"num_classes": 1})
             header = json.dumps({"model_config": config}).encode()
-        (hlen,) = struct.unpack_from("<I", blob, 12)
-        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
-                         + blob[16 + hlen:])
+        path = self.with_header(tmp_path / "m.ckpt", cfg, header)
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: ")
         assert message in str(err.value) and "\n" not in str(err.value)
+
+    @staticmethod
+    def with_header(path, cfg, header):
+        """A checkpoint of a cfg model whose header bytes are header."""
+        save_checkpoint(path, build_model(cfg), {}, 0, micro_train_cfg(), 1)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 12)
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + hlen:])
+        return path
+
+    @pytest.mark.parametrize("change, message", [
+        ({"fold_div": 8.5}, "fold_div must be an integer, got 8.5"),
+        ({"num_segments": 2.5}, "num_segments must be an integer, got 2.5"),
+        ({"num_classes": True}, "num_classes must be an integer, got True"),
+        ({"in_channels": "1"}, "in_channels must be an integer, got '1'"),
+        ({"shift_enabled": "no"}, "shift_enabled must be a bool, got 'no'"),
+        ({"shift_enabled": 1}, "shift_enabled must be a bool, got 1"),
+        ({"capacity": ["micro"]}, "capacity must be a string, got ['micro']"),
+        ({"dropout_rate": "0.5"}, "dropout_rate must be a number, got '0.5'"),
+        ({"dropout_rate": None}, "dropout_rate must be a number, got None"),
+        ({"in_channels": 0}, "in_channels must be >= 1, got 0"),
+    ])
+    def test_model_config_values(self, tmp_path, change, message):
+        # a bad field fails on load, not later in predict, the shift or the
+        # stem's initialisation
+        cfg = micro_model_cfg()
+        header = json.dumps({"model_config": {**cfg.to_dict(), **change}})
+        path = self.with_header(tmp_path / "m.ckpt", cfg, header.encode())
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_bytes_past_last_tensor(self, tmp_path):
         path = tmp_path / "m.ckpt"
